@@ -50,30 +50,18 @@ class Classified:
 class Oracle:
     """Judges responses and read-backs against the instantiated spec.
 
-    State bookkeeping is incremental by default: per-table entry counters,
-    a :class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
+    State bookkeeping is incremental: per-table entry counters, a
+    :class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
     dangling/orphan questions, and a decoded-form cache keyed by wire
     entry, so per-update judging cost is independent of how many entries
-    are installed.  ``incremental=False`` keeps the original linear
-    recomputation — retained as the baseline the differential tests and
-    benchmarks compare against (verdicts are identical either way).
+    are installed.  Its verdicts are held to golden fixtures recorded while
+    a linear-recomputation twin was live and agreed with it
+    (``tests/test_scale_differential.py``).
     """
 
-    # Class-level default so whole campaigns can be flipped to the linear
-    # baseline without threading a parameter through every constructor.
-    default_incremental = True
-
-    def __init__(
-        self,
-        p4info: P4Info,
-        strict_constraints: bool = False,
-        incremental: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, p4info: P4Info, strict_constraints: bool = False) -> None:
         self.p4info = p4info
         self.refs = ReferenceGraph(p4info)
-        self.incremental = (
-            self.default_incremental if incremental is None else incremental
-        )
         self._constraints = {}
         # A malformed @entry_restriction must never *silently* disable
         # constraint checking for its table: that would suppress every
@@ -92,10 +80,9 @@ class Oracle:
                     self.constraint_errors[tid] = str(exc)
         # The adopted switch state: entry identity -> wire entry.
         self.expected: Dict[Tuple, TableEntry] = {}
-        # Incrementally maintained referenceable state (mirrors expected).
-        self._available = self.refs.collect_state(())
-        # Incremental mode: per-table entry counts, the reverse-reference
-        # index, and the decoded-form cache for read-back diffing.
+        # Per-table entry counts, the reverse-reference index (which also
+        # holds the referenceable state), and the decoded-form cache for
+        # read-back diffing — all mirror ``expected``.
         self._counts: Dict[int, int] = {}
         self._index = ReferenceIndex(self.refs)
         self._decoded: Dict[TableEntry, object] = {}
@@ -213,13 +200,8 @@ class Oracle:
         key = entry.match_key()
         table = self.p4info.tables[entry.table_id]
         exists = key in self.expected
-        dangling = self.refs.dangling_references(entry, self._available_values())
-        if self.incremental:
-            table_count = self._counts.get(entry.table_id, 0)
-        else:
-            table_count = sum(
-                1 for k in self.expected if self._key_table(k) == entry.table_id
-            )
+        dangling = self.refs.dangling_references(entry, self._index.available)
+        table_count = self._counts.get(entry.table_id, 0)
 
         if exists:
             if status.ok:
@@ -306,7 +288,7 @@ class Oracle:
         key = entry.match_key()
         table = self.p4info.tables[entry.table_id]
         exists = key in self.expected
-        dangling = self.refs.dangling_references(entry, self._available_values())
+        dangling = self.refs.dangling_references(entry, self._index.available)
         if not exists:
             if status.ok:
                 log.report(
@@ -399,7 +381,7 @@ class Oracle:
                     )
                 )
             return
-        if self._delete_would_orphan(key):
+        if self._index.would_orphan(key):
             if status.ok:
                 log.report(
                     Incident(
@@ -491,8 +473,8 @@ class Oracle:
                     source="p4-fuzzer",
                 )
             )
-        # Wire-level changes among common keys feed the incremental adopt
-        # diff; the semantic comparison below decides whether to report.
+        # Wire-level changes among common keys feed the adopt diff; the
+        # semantic comparison below decides whether to report.
         changed: List[Tuple] = []
         for key, entry in self.expected.items():
             other = observed.get(key)
@@ -536,10 +518,6 @@ class Oracle:
         observed: Dict[Tuple, TableEntry],
         diff: Optional[Tuple[List[Tuple], List[Tuple], List[Tuple]]] = None,
     ) -> None:
-        if not self.incremental:
-            self.expected = observed
-            self._available = self.refs.collect_state(observed.values())
-            return
         # When the observed state equals the projection (the common case —
         # no diff entries at all), adopting is just swapping the dict; the
         # index and counters already describe it.  Otherwise apply only the
@@ -568,13 +546,6 @@ class Oracle:
         self._prune_decode_cache()
 
     def _same_entry(self, a: TableEntry, b: TableEntry) -> bool:
-        if not self.incremental:
-            try:
-                da = decode_table_entry(self.p4info, a)
-                db = decode_table_entry(self.p4info, b)
-            except EntryDecodeError:
-                return False
-            return da == db
         da = self._decode_cached(a)
         db = self._decode_cached(b)
         return da is not _DECODE_FAILED and db is not _DECODE_FAILED and da == db
@@ -582,8 +553,7 @@ class Oracle:
     def _decode_cached(self, entry: TableEntry) -> object:
         """Decode through a cache keyed by the (frozen, hashable) wire
         entry.  Failures are cached too: an undecodable pair must keep
-        producing a mismatch verdict every batch, exactly as the uncached
-        path does."""
+        producing a mismatch verdict every batch."""
         cached = self._decoded.get(entry)
         if cached is None:
             try:
@@ -606,28 +576,16 @@ class Oracle:
     def _apply(self, update: Update) -> None:
         key = update.entry.match_key()
         if update.type is UpdateType.DELETE:
-            removed = self.expected.pop(key, None)
-            if removed is None:
+            if self.expected.pop(key, None) is None:
                 return
-            if self.incremental:
-                self._index.delete(key)
-                self._bump(self._key_table(key), -1)
-            else:
-                exported = self.refs.exported_keyset(removed)
-                if exported is not None:
-                    self._available.remove(*exported)
+            self._index.delete(key)
+            self._bump(self._key_table(key), -1)
         else:
-            existed = key in self.expected
-            if self.incremental:
-                if existed:
-                    self._index.replace(key, update.entry)
-                else:
-                    self._index.insert(key, update.entry)
-                    self._bump(self._key_table(key), +1)
-            elif not existed:
-                exported = self.refs.exported_keyset(update.entry)
-                if exported is not None:
-                    self._available.add(*exported)
+            if key in self.expected:
+                self._index.replace(key, update.entry)
+            else:
+                self._index.insert(key, update.entry)
+                self._bump(self._key_table(key), +1)
             self.expected[key] = update.entry
 
     def _bump(self, table_id: int, delta: int) -> None:
@@ -640,21 +598,6 @@ class Oracle:
     @staticmethod
     def _key_table(key: Tuple) -> int:
         return key[0]
-
-    def _available_values(self):
-        return self._index.available if self.incremental else self._available
-
-    def _delete_would_orphan(self, key: Tuple) -> bool:
-        if self.incremental:
-            return self._index.would_orphan(key)
-        remaining = self.refs.collect_state(
-            entry for other_key, entry in self.expected.items() if other_key != key
-        )
-        return any(
-            self.refs.dangling_references(entry, remaining)
-            for other_key, entry in self.expected.items()
-            if other_key != key
-        )
 
     def installed_entries(self) -> List[TableEntry]:
         return list(self.expected.values())

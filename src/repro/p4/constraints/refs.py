@@ -128,12 +128,6 @@ class AvailableState:
         # fuzz campaigns requires a stable order here.
         return sorted(self._by_table.get(table, ()), key=lambda ks: sorted(ks))
 
-    def copy(self) -> "AvailableState":
-        clone = AvailableState()
-        clone._by_table = {t: dict(c) for t, c in self._by_table.items()}
-        clone._by_pair = {pair: set(ks) for pair, ks in self._by_pair.items()}
-        return clone
-
     def __contains__(self, item: Tuple[str, str, int]) -> bool:
         table, key, value = item
         return bool(self._by_pair.get((table, (key, value))))

@@ -2,7 +2,7 @@
 
 Canonical witness extraction is the property that makes deep solver
 rewrites safe in this repo: a verdict's artifact is a pure function of
-the formula, never of pool warmth, encoder choice, or kernel heuristics.
+the formula, never of pool warmth, encoding details, or kernel heuristics.
 This module holds the minimization core so both the analysis layer
 (:mod:`repro.analysis.witness`) and the fuzzer's constraint-model
 sampling share one implementation.

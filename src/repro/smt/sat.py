@@ -24,10 +24,10 @@ Implements the standard modern architecture:
   once and answer many coverage queries (p4-symbolic poses one query per
   table entry / branch) without re-encoding.
 
-The previous activity-only kernel is retained verbatim as
-:class:`repro.smt.legacy_sat.LegacySatSolver` and selectable through
-``Solver(kernel="legacy")`` — the differential baseline for the verdict-
-identity tests and the clause-economy benchmark.
+This is the only SAT kernel.  Its verdicts are held to checked-in golden
+fixtures (``tests/golden``) recorded while an activity-only predecessor was
+still live and agreed with it, and the randomized SMT tests check every
+verdict against brute-force enumeration.
 
 Literal encoding: variable ``v`` (1-based) has positive literal ``2*v`` and
 negative literal ``2*v + 1``; ``lit ^ 1`` negates.

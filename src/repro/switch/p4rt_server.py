@@ -73,35 +73,23 @@ class _StoredEntry:
 class P4RuntimeServer:
     """The P4Runtime layer of the PINS stack.
 
-    State bookkeeping is incremental by default (``indexed=True``):
-    per-table entry counters, a reverse-reference index answering the
-    delete-orphan question, and per-table read views — the paths that were
-    linear in store size.  ``indexed=False`` keeps the original linear
-    recomputation as the differential baseline; statuses and reads are
-    identical either way.  The index mirrors the *store*, so seeded faults
-    that desynchronise the store from hardware (``modify_keeps_old_params``)
-    desynchronise the index with it — exactly like the linear scans they
-    replace.
+    State bookkeeping is incremental: per-table entry counters, a
+    reverse-reference index answering the dangling/orphan questions, and
+    per-table read views, so per-update cost is independent of store size.
+    The index mirrors the *store*, so seeded faults that desynchronise the
+    store from hardware (``modify_keeps_old_params``) desynchronise the
+    index with it.  Statuses and reads are held to golden fixtures recorded
+    while a linear-recomputation twin was live and agreed with it
+    (``tests/test_scale_differential.py``).
     """
 
-    # Class-level default so whole campaigns can be flipped to the linear
-    # baseline without threading a parameter through every constructor.
-    default_indexed = True
-
-    def __init__(
-        self,
-        orchagent: OrchAgent,
-        faults: FaultRegistry,
-        indexed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, orchagent: OrchAgent, faults: FaultRegistry) -> None:
         self._orchagent = orchagent
         self._faults = faults
-        self.indexed = self.default_indexed if indexed is None else indexed
         self._p4info: Optional[P4Info] = None
         self._refs: Optional[ReferenceGraph] = None
         self._store: Dict[Tuple, _StoredEntry] = {}
         self._constraints: Dict[int, object] = {}
-        self._available = None  # incremental referenceable state
         self._counts: Dict[str, int] = {}
         self._refindex: Optional[ReferenceIndex] = None
         self._by_table_wire: Dict[int, Dict[Tuple, TableEntry]] = {}
@@ -126,9 +114,6 @@ class P4RuntimeServer:
         self._p4info = p4info
         self._refs = ReferenceGraph(p4info)
         self._constraints = constraints
-        self._available = self._refs.collect_state(
-            stored.wire for stored in self._store.values()
-        )
         self._refindex = ReferenceIndex(self._refs)
         for key, stored in self._store.items():
             self._refindex.insert(key, stored.wire)
@@ -197,16 +182,10 @@ class P4RuntimeServer:
             if self._faults.enabled("duplicate_entry_wrong_error"):
                 return internal("could not program entry")  # wrong code
             return already_exists(f"entry already exists in {table.name}")
-        if self.indexed:
-            count = self._counts.get(table.name, 0)
-        else:
-            count = sum(1 for k in self._store if k[0] == table.name)
-        if count >= table.size:
+        if self._counts.get(table.name, 0) >= table.size:
             # Rejecting beyond the guaranteed size is admissible.
             return resource_exhausted(f"table {table.name} is full ({table.size})")
-        dangling = self._refs.dangling_references(
-            entry, self._available_values()
-        )
+        dangling = self._refs.dangling_references(entry, self._refindex.available)
         if dangling:
             ref = dangling[0]
             return invalid_argument(
@@ -216,19 +195,16 @@ class P4RuntimeServer:
         status = self._dispatch("insert", decoded)
         if status.ok:
             self._store[key] = _StoredEntry(wire=entry, decoded=decoded)
-            if self.indexed:
-                self._counts[table.name] = self._counts.get(table.name, 0) + 1
-                self._refindex.insert(key, entry)
-                self._by_table_wire.setdefault(entry.table_id, {})[key] = entry
-            else:
-                self._track_insert(entry)
+            self._counts[table.name] = self._counts.get(table.name, 0) + 1
+            self._refindex.insert(key, entry)
+            self._by_table_wire.setdefault(entry.table_id, {})[key] = entry
         return status
 
     def _modify(self, table, entry, decoded, key) -> Status:
         existing = self._store.get(key)
         if existing is None:
             return not_found(f"no such entry in {table.name}")
-        dangling = self._refs.dangling_references(entry, self._available_values())
+        dangling = self._refs.dangling_references(entry, self._refindex.available)
         if dangling:
             ref = dangling[0]
             return invalid_argument(
@@ -244,9 +220,8 @@ class P4RuntimeServer:
                 pass
             else:
                 self._store[key] = _StoredEntry(wire=entry, decoded=decoded)
-                if self.indexed:
-                    self._refindex.replace(key, entry)
-                    self._by_table_wire.setdefault(entry.table_id, {})[key] = entry
+                self._refindex.replace(key, entry)
+                self._by_table_wire.setdefault(entry.table_id, {})[key] = entry
         return status
 
     def _delete(self, table, decoded, key) -> Status:
@@ -254,37 +229,21 @@ class P4RuntimeServer:
         if existing is None:
             return not_found(f"no such entry in {table.name}")
         # Referential integrity: refuse to orphan existing references.
-        if self._refs.is_referenced_table(table.name):
-            if self.indexed:
-                if self._refindex.would_orphan(key):
-                    return failed_precondition(
-                        f"entry in {table.name} is still referenced"
-                    )
-            else:
-                remaining = self._available_values(excluding=key)
-                for other_key, stored in self._store.items():
-                    if other_key == key:
-                        continue
-                    if self._refs.dangling_references(stored.wire, remaining):
-                        return failed_precondition(
-                            f"entry in {table.name} is still referenced"
-                        )
+        referenced = self._refs.is_referenced_table(table.name)
+        if referenced and self._refindex.would_orphan(key):
+            return failed_precondition(f"entry in {table.name} is still referenced")
         status = self._dispatch("delete", decoded)
         if status.ok:
-            wire = self._store[key].wire
-            del self._store[key]
-            if self.indexed:
-                count = self._counts.get(table.name, 0) - 1
-                if count > 0:
-                    self._counts[table.name] = count
-                else:
-                    self._counts.pop(table.name, None)
-                self._refindex.delete(key)
-                per_table = self._by_table_wire.get(wire.table_id)
-                if per_table is not None:
-                    per_table.pop(key, None)
+            wire = self._store.pop(key).wire
+            count = self._counts.get(table.name, 0) - 1
+            if count > 0:
+                self._counts[table.name] = count
             else:
-                self._track_delete(wire)
+                self._counts.pop(table.name, None)
+            self._refindex.delete(key)
+            per_table = self._by_table_wire.get(wire.table_id)
+            if per_table is not None:
+                per_table.pop(key, None)
         return status
 
     def _dispatch(self, op: str, decoded: InstalledEntry) -> Status:
@@ -294,35 +253,11 @@ class P4RuntimeServer:
             return Status(_SAI_TO_GRPC.get(exc.status, Code.INTERNAL), exc.detail)
         return Status()
 
-    def _available_values(self, excluding: Optional[Tuple] = None):
-        if excluding is None:
-            if self.indexed:
-                return self._refindex.available
-            return self._available
-        # Delete checks need the state without one entry; derive it cheaply.
-        derived = self._available.copy()
-        stored = self._store.get(excluding)
-        if stored is not None:
-            exported = self._refs.exported_keyset(stored.wire)
-            if exported is not None:
-                derived.remove(*exported)
-        return derived
-
-    def _track_insert(self, entry: TableEntry) -> None:
-        exported = self._refs.exported_keyset(entry)
-        if exported is not None:
-            self._available.add(*exported)
-
-    def _track_delete(self, entry: TableEntry) -> None:
-        exported = self._refs.exported_keyset(entry)
-        if exported is not None:
-            self._available.remove(*exported)
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def read(self, request: ReadRequest) -> ReadResponse:
-        if request.table_id and self.indexed:
+        if request.table_id:
             # Serve single-table reads from the per-table view instead of
             # scanning the whole store (its order — insertion order with
             # MODIFY in place — matches the store's filtered order).
@@ -332,8 +267,6 @@ class P4RuntimeServer:
         drop_ternary = self._faults.enabled("read_ternary_unsupported")
         entries = []
         for wire in wires:
-            if request.table_id and wire.table_id != request.table_id:
-                continue
             if drop_ternary and any(m.kind == "ternary" for m in wire.matches):
                 continue  # silently omitted from the read-back
             entries.append(wire)

@@ -21,13 +21,17 @@ Two granularities are supported:
   re-solved.  Unsatisfiable verdicts are cached too (``packet=None``).
 
 Corrupt or version-skewed on-disk pickles are treated as misses: the bad
-file is deleted and generation proceeds as if it never existed.
+file is deleted and generation proceeds as if it never existed.  Writes go
+to a temporary file in the same directory that is then renamed into place,
+so a crash or a concurrent fleet shard never leaves a torn ``.pkl`` behind.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence
@@ -93,10 +97,9 @@ class PacketCache:
         return None
 
     def store(self, key: str, result: GenerationResult) -> None:
-        self._memory[key] = result
         if self._directory:
-            with (self._directory / f"{key}.pkl").open("wb") as fh:
-                pickle.dump(result, fh)
+            self._write(self._directory / f"{key}.pkl", result)
+        self._memory[key] = result
 
     # ------------------------------------------------------------------
     # Per-goal granularity
@@ -114,12 +117,32 @@ class PacketCache:
         return None
 
     def store_goal(self, key: str, cached: CachedGoal) -> None:
-        self._goal_memory[key] = cached
         if self._directory:
-            with (self._directory / "goals" / f"{key}.pkl").open("wb") as fh:
-                pickle.dump(cached, fh)
+            self._write(self._directory / "goals" / f"{key}.pkl", cached)
+        self._goal_memory[key] = cached
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _write(path: Path, value) -> None:
+        """Pickle ``value`` to ``path`` atomically.
+
+        The pickle goes to a temporary file in the same directory, which
+        ``os.replace`` then renames over ``path``: readers see the old entry
+        or the new one, never a prefix.  If pickling fails midway the
+        temporary file is removed and the previous entry stays intact.
+        """
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
     @staticmethod
     def _load(path: Optional[Path]):
         """Unpickle ``path``, treating any failure as a cache miss.
@@ -160,7 +183,8 @@ class PacketCache:
         self._memory.clear()
         self._goal_memory.clear()
         if self._directory:
-            for path in self._directory.glob("*.pkl"):
-                path.unlink()
-            for path in (self._directory / "goals").glob("*.pkl"):
-                path.unlink()
+            # Stray temporary files are left by writers killed mid-store.
+            for directory in (self._directory, self._directory / "goals"):
+                for pattern in ("*.pkl", "*.tmp"):
+                    for path in directory.glob(pattern):
+                        path.unlink()

@@ -112,21 +112,14 @@ class PacketGenerator:
         state: Mapping[str, Sequence[InstalledEntry]],
         valid_ports: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
         solver_pool: Optional[SolverPool] = None,
-        encoder: str = "structural",
-        kernel: str = "modern",
     ) -> None:
         self.program = program
         self.state = state
         self.valid_ports = tuple(valid_ports)
-        # Encoder/kernel selection for privately-built solvers.  When a
-        # pool is supplied its own configuration wins — every solver
-        # sharing a pool must agree on the encoding.
-        self.encoder = encoder
-        self.kernel = kernel
         # When a SolverPool is supplied, per-profile solvers are borrowed
         # from it instead of built fresh: across table states the profile
         # constraints are identical and unchanged goal subformulas are the
-        # *same* hash-consed terms, so a warm solver reuses its Tseitin
+        # *same* hash-consed terms, so a warm solver reuses its CNF
         # encoding and learned clauses and only encodes what an edit
         # actually changed.
         self._pool = solver_pool
@@ -166,9 +159,7 @@ class PacketGenerator:
                     simplify_terms=False,
                 )
             else:
-                solver = Solver(
-                    simplify_terms=False, encoder=self.encoder, kernel=self.kernel
-                )
+                solver = Solver(simplify_terms=False)
                 for constraint in execution.constraints:
                     solver.add(constraint)
             self._solvers[name] = solver

@@ -1,10 +1,13 @@
-"""Differential identity: indexed/incremental state paths vs linear baselines.
+"""State-path identity: the incremental oracle and switches against fixtures.
 
 The production-scale bugfixes (per-table counters, reverse-reference
-indices, table lookup indices, decode caches, per-table read views) are
-behaviour-preserving by construction; these tests prove it empirically —
+indices, table lookup indices, decode caches, per-table read views) must
+keep producing the outputs recorded in ``tests/golden/scale_differential.json``:
 seeded random campaigns, direct write/read/packet sequences, and the whole
-fault catalogue must produce byte-identical outcomes in both modes.
+fault catalogue.  The fixtures were recorded while the linear
+recomputation paths were still live, with both paths asserted to agree.
+
+Regenerate (deliberately) with ``python -m tests.golden.record --force``.
 """
 
 import random
@@ -12,8 +15,7 @@ import random
 import pytest
 
 from repro.bmv2.interpreter import Interpreter, SeededHash
-from repro.bmv2.packet import deparse_packet, make_ipv4_packet
-from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
+from repro.bmv2.packet import make_ipv4_packet
 from repro.fuzzer.oracle import Oracle
 from repro.p4rt.messages import (
     ReadRequest,
@@ -23,177 +25,50 @@ from repro.p4rt.messages import (
     WriteResponse,
 )
 from repro.p4rt.status import Status
-from repro.switch import PinsSwitchStack, ReferenceSwitch
-from repro.switch.faults import FAULT_CATALOG, FaultRegistry
-from repro.switch.p4rt_server import P4RuntimeServer
+from repro.switch import ReferenceSwitch
 from repro.switchv.report import IncidentKind
-from repro.workloads import EntryBuilder, crm_fill_updates, production_like_entries
+from repro.workloads import EntryBuilder, production_like_entries
 
-MODELS = ["toy", "tor", "wan", "cerberus"]
+from tests.golden import cases as C
 
-
-def _incident_tuples(log):
-    return [
-        (i.kind, i.summary, i.expected, i.observed, i.table_id, i.table_name)
-        for i in log.incidents
-    ]
+GOLDEN = C.load("scale_differential")
 
 
-def _set_modes(monkeypatch, on: bool) -> None:
-    monkeypatch.setattr(Oracle, "default_incremental", on)
-    monkeypatch.setattr(ReferenceSwitch, "default_indexed", on)
-    monkeypatch.setattr(P4RuntimeServer, "default_indexed", on)
-
-
-def _probe_packets(count: int = 24):
-    rng = random.Random(404)
-    packets = []
-    for index in range(count):
-        packets.append(
-            (
-                deparse_packet(
-                    make_ipv4_packet(
-                        dst_addr=rng.getrandbits(32),
-                        src_addr=rng.getrandbits(32),
-                        ttl=rng.choice([1, 33, 64]),
-                    )
-                ),
-                1 + index % 4,
-            )
-        )
-    return packets
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_fuzz_campaign_identity_reference_switch(model, request, monkeypatch):
+@pytest.mark.parametrize("model", C.MODELS)
+def test_fuzz_campaign_identity_reference_switch(model):
     """Seeded campaigns against the reference switch: incidents, adopted
-    state, reads, and forwarding are identical in both modes."""
-    program = request.getfixturevalue(f"{model}_program")
-    p4info = request.getfixturevalue(f"{model}_p4info")
-    outcomes = {}
-    for mode in (True, False):
-        _set_modes(monkeypatch, mode)
-        switch = ReferenceSwitch(program)
-        fuzzer = P4Fuzzer(
-            p4info,
-            switch,
-            FuzzerConfig(num_writes=8, updates_per_write=12, seed=99),
-        )
-        result = fuzzer.run()
-        outcomes[mode] = (result, switch)
-
-    fast, fast_switch = outcomes[True]
-    slow, slow_switch = outcomes[False]
-    assert _incident_tuples(fast.incidents) == _incident_tuples(slow.incidents)
-    assert fast.final_entries == slow.final_entries
-    assert (
-        fast_switch.read(ReadRequest()).entries
-        == slow_switch.read(ReadRequest()).entries
-    )
-    for tid in p4info.table_ids():
-        assert (
-            fast_switch.read(ReadRequest(table_id=tid)).entries
-            == slow_switch.read(ReadRequest(table_id=tid)).entries
-        ), p4info.tables[tid].name
-    for payload, port in _probe_packets():
-        a = fast_switch.send_packet(payload, ingress_port=port)
-        b = slow_switch.send_packet(payload, ingress_port=port)
-        assert (a.egress_port, a.punted, a.packet, a.mirror_copies) == (
-            b.egress_port,
-            b.punted,
-            b.packet,
-            b.mirror_copies,
-        )
-    assert fast_switch.drain_packet_ins() == slow_switch.drain_packet_ins()
+    state, reads (single-table reads are the full read filtered), and
+    forwarding of a fixed probe stream."""
+    C.assert_golden(C.reference_campaign(model), GOLDEN["reference_campaign"][model])
 
 
-def test_direct_write_status_identity(tor_program, tor_p4info, monkeypatch):
+def test_direct_write_status_identity():
     """A production fill + churn replay: every per-update status (code and
-    message) matches between the indexed and linear reference switch."""
-    entries = production_like_entries(tor_p4info, 260, seed=5)
-    routes = [e for e in entries if e.table_id == tor_p4info.table_by_name("ipv4_tbl").id]
-    updates = crm_fill_updates(entries, churn=120, seed=6, victims=routes)
+    message) and the final read of the reference switch."""
+    C.assert_golden(C.direct_writes("reference"), GOLDEN["direct_writes"]["reference"])
 
-    def run(mode):
-        _set_modes(monkeypatch, mode)
-        switch = ReferenceSwitch(tor_program)
-        assert switch.set_forwarding_pipeline_config(tor_p4info).ok
-        statuses = []
-        for update in updates:
-            response = switch.write(WriteRequest(updates=(update,)))
-            statuses.append(
-                (response.statuses[0].code, response.statuses[0].message)
-            )
-        return statuses, switch
 
-    fast_statuses, fast_switch = run(True)
-    slow_statuses, slow_switch = run(False)
-    assert fast_statuses == slow_statuses
-    assert (
-        fast_switch.read(ReadRequest()).entries
-        == slow_switch.read(ReadRequest()).entries
+def test_direct_write_status_identity_pins_stack():
+    C.assert_golden(
+        C.direct_writes("pins_stack"), GOLDEN["direct_writes"]["pins_stack"]
     )
 
 
-def test_direct_write_status_identity_pins_stack(tor_program, tor_p4info, monkeypatch):
-    entries = production_like_entries(tor_p4info, 180, seed=9)
-    updates = crm_fill_updates(entries, churn=60, seed=10)
-
-    def run(mode):
-        _set_modes(monkeypatch, mode)
-        stack = PinsSwitchStack(tor_program)
-        assert stack.set_forwarding_pipeline_config(tor_p4info).ok
-        statuses = []
-        for update in updates:
-            response = stack.write(WriteRequest(updates=(update,)))
-            statuses.append(
-                (response.statuses[0].code, response.statuses[0].message)
-            )
-        return statuses, stack
-
-    fast_statuses, fast_stack = run(True)
-    slow_statuses, slow_stack = run(False)
-    assert fast_statuses == slow_statuses
-    assert (
-        fast_stack.read(ReadRequest()).entries == slow_stack.read(ReadRequest()).entries
-    )
-    for tid in tor_p4info.table_ids():
-        assert (
-            fast_stack.read(ReadRequest(table_id=tid)).entries
-            == slow_stack.read(ReadRequest(table_id=tid)).entries
-        )
-
-
-@pytest.mark.parametrize("fault", sorted(f.name for f in FAULT_CATALOG))
-def test_fault_catalogue_identity(fault, tor_program, tor_p4info, monkeypatch):
-    """Every catalogued fault produces the same incidents and the same
-    adopted state whether the oracle/server bookkeeping is incremental or
-    linear — the index mirrors the store, bugs included."""
-    outcomes = {}
-    for mode in (True, False):
-        _set_modes(monkeypatch, mode)
-        stack = PinsSwitchStack(tor_program, faults=FaultRegistry([fault]))
-        fuzzer = P4Fuzzer(
-            tor_p4info,
-            stack,
-            FuzzerConfig(num_writes=5, updates_per_write=10, seed=31),
-        )
-        result = fuzzer.run()
-        outcomes[mode] = (
-            _incident_tuples(result.incidents),
-            result.final_entries,
-        )
-    assert outcomes[True] == outcomes[False]
+@pytest.mark.parametrize("fault", C.FAULTS)
+def test_fault_catalogue_identity(fault):
+    """Every catalogued fault produces the recorded incidents and adopted
+    state — the index mirrors the store, bugs included."""
+    C.assert_golden(C.fault_catalogue(fault), GOLDEN["fault_catalogue"][fault])
 
 
 def test_interpreter_index_matches_linear_scan(tor_program, tor_p4info):
     """The table index yields the same winner as the linear scan on every
     probe — including under the seeded simulator fault knobs."""
-    switch = ReferenceSwitch(tor_program, indexed=False)
+    switch = ReferenceSwitch(tor_program)
     assert switch.set_forwarding_pipeline_config(tor_p4info).ok
     for entry in production_like_entries(tor_p4info, 400, seed=21):
         switch.write(WriteRequest(updates=(Update(UpdateType.INSERT, entry),)))
-    state = switch._state()
+    state = C.decode_state(tor_p4info, switch.read(ReadRequest()).entries)
     assert any(len(v) > Interpreter.INDEX_MIN_ENTRIES for v in state.values())
 
     rng = random.Random(77)
@@ -266,16 +141,8 @@ def test_readback_suppression_is_reported(toy_p4info):
     assert len(oracle.expected) == len(entries)
 
 
-def test_readback_suppression_identity_across_modes(toy_p4info):
-    b = EntryBuilder(toy_p4info)
-    entries = [b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in range(1, 12)]
-    logs = {}
-    for mode in (True, False):
-        oracle = Oracle(toy_p4info, incremental=mode)
-        updates = [Update(UpdateType.INSERT, e) for e in entries]
-        ok = WriteResponse(statuses=tuple(Status() for _ in updates))
-        logs[mode] = _incident_tuples(oracle.judge_batch(updates, ok, read_back=[]))
-    assert logs[True] == logs[False]
+def test_readback_suppression_identity_across_modes():
+    C.assert_golden(C.readback_suppression(), GOLDEN["readback_suppression"]["toy"])
 
 
 def test_seeded_hash_fields_cannot_alias():
@@ -304,38 +171,26 @@ def test_seeded_hash_binds_widths_from_program(tor_program):
 
 def test_per_table_read_order_preserved(tor_program, tor_p4info):
     """Single-table reads keep store order: MODIFY stays in place,
-    delete + re-insert moves to the back — identically in both modes."""
+    delete + re-insert moves to the back."""
     b = EntryBuilder(tor_p4info)
-    vrf_ids = [4, 5, 6]
-    switches = {}
-    for mode in (True, False):
-        switch = ReferenceSwitch(tor_program, indexed=mode)
-        assert switch.set_forwarding_pipeline_config(tor_p4info).ok
-        for vid in vrf_ids:
-            entry = b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction")
-            assert switch.write(
-                WriteRequest(updates=(Update(UpdateType.INSERT, entry),))
-            ).statuses[0].ok
+    entries = {vid: b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in (4, 5, 6)}
+    switch = ReferenceSwitch(tor_program)
+    assert switch.set_forwarding_pipeline_config(tor_p4info).ok
+    for kind, vid in [
+        (UpdateType.INSERT, 4),
+        (UpdateType.INSERT, 5),
+        (UpdateType.INSERT, 6),
         # Modify the middle entry (same action: position must not change),
         # then delete + re-insert the first (must move to the back).
-        middle = b.exact("vrf_tbl", {"vrf_id": 5}, "NoAction")
-        assert switch.write(
-            WriteRequest(updates=(Update(UpdateType.MODIFY, middle),))
-        ).statuses[0].ok
-        first = b.exact("vrf_tbl", {"vrf_id": 4}, "NoAction")
-        assert switch.write(
-            WriteRequest(updates=(Update(UpdateType.DELETE, first),))
-        ).statuses[0].ok
-        assert switch.write(
-            WriteRequest(updates=(Update(UpdateType.INSERT, first),))
-        ).statuses[0].ok
-        switches[mode] = switch
+        (UpdateType.MODIFY, 5),
+        (UpdateType.DELETE, 4),
+        (UpdateType.INSERT, 4),
+    ]:
+        update = Update(kind, entries[vid])
+        assert switch.write(WriteRequest(updates=(update,))).statuses[0].ok
 
     tid = tor_p4info.table_by_name("vrf_tbl").id
-    fast = switches[True].read(ReadRequest(table_id=tid)).entries
-    slow = switches[False].read(ReadRequest(table_id=tid)).entries
-    assert fast == slow
-    assert [e.matches[0].value for e in fast] == [
-        e.matches[0].value for e in slow
-    ]
-    assert len(fast) == 3
+    per_table = switch.read(ReadRequest(table_id=tid)).entries
+    assert per_table == (entries[5], entries[6], entries[4])
+    full = switch.read(ReadRequest()).entries
+    assert per_table == tuple(e for e in full if e.table_id == tid)

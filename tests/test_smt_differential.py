@@ -1,166 +1,49 @@
-"""Differential identity at the SMT layer: optimized vs legacy pipelines.
+"""Identity at the SMT layer: the solver pipeline against golden fixtures.
 
-The scale-differential suite (:mod:`tests.test_scale_differential`) proves
-the indexed state paths behaviour-preserving; this file extends the same
-approach one layer down.  The structural encoder + modern kernel must be
-observationally identical to the retained Tseitin encoder + legacy kernel
-end to end: the same generated packets (byte for byte), the same uncovered
-goals, the same data-plane incidents, and the same fuzzer incident
-fingerprints across the whole fault catalogue.  Canonical witness
-extraction makes this possible — every artifact is a pure function of the
-formula, never of solver heuristics.
+The structural encoder + CDCL kernel must keep producing, end to end, the
+outputs recorded in ``tests/golden/smt_differential.json``: the same
+generated packets (byte for byte), the same uncovered goals, the same
+data-plane incidents, and the same fuzzer incident fingerprints across the
+whole fault catalogue.  The fixtures were recorded while the Tseitin
+encoder + activity-only kernel was still live, with both pipelines
+asserted to agree.  Canonical witness extraction makes this possible —
+every artifact is a pure function of the formula, never of solver
+heuristics.
+
+Regenerate (deliberately) with ``python -m tests.golden.record --force``.
 """
 
 import pytest
 
-from repro.bmv2.entries import decode_table_entry
-from repro.bmv2.packet import deparse_packet
-from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
-from repro.smt.pool import SolverPool
-from repro.switch import PinsSwitchStack, ReferenceSwitch
-from repro.switch.faults import FAULT_CATALOG, FaultRegistry
-from repro.switchv.harness import SwitchVHarness
-from repro.symbolic import PacketGenerator
-from repro.symbolic.coverage import CoverageMode
-from repro.workloads import EntryBuilder, baseline_entries, production_like_entries
+from tests.golden import cases as C
 
-MODELS = ["toy", "tor", "wan", "cerberus"]
-
-# (encoder, kernel) per pipeline; "optimized" is the repo default.
-PIPELINES = {
-    "optimized": ("structural", "modern"),
-    "legacy": ("tseitin", "legacy"),
-}
+GOLDEN = C.load("smt_differential")
 
 
-def _pool(pipeline):
-    encoder, kernel = PIPELINES[pipeline]
-    return SolverPool(encoder=encoder, kernel=kernel)
+@pytest.mark.parametrize("model", C.MODELS)
+def test_packet_generation_identity(model):
+    """Cold entry-coverage generation on every shipped model: packets,
+    uncovered goals and goal verdict counts."""
+    C.assert_golden(C.packet_generation(model), GOLDEN["packet_generation"][model])
 
 
-def _entries_for(model, p4info):
-    if model == "toy":
-        # The toy router has none of the SAI tables baseline_entries fills.
-        b = EntryBuilder(p4info)
-        return [
-            b.ternary("pre_ingress_tbl", {}, "set_vrf", {"vrf_id": 1}, priority=1),
-            b.exact("vrf_tbl", {"vrf_id": 1}, "NoAction"),
-            b.lpm("ipv4_tbl", {"vrf_id": 1}, "ipv4_dst", 0x0A000000, 8,
-                  "set_nexthop_id", {"nexthop_id": 3}),
-            b.lpm("ipv4_tbl", {"vrf_id": 1}, "ipv4_dst", 0x0A000000, 16,
-                  "set_nexthop_id", {"nexthop_id": 7}),
-        ]
-    return baseline_entries(p4info)
-
-
-def _decode_state(p4info, entries):
-    state = {}
-    for entry in entries:
-        decoded = decode_table_entry(p4info, entry)
-        state.setdefault(decoded.table_name, []).append(decoded)
-    return state
-
-
-def _packet_tuples(packets):
-    return [
-        (p.goal, p.profile, p.ingress_port, deparse_packet(p.packet))
-        for p in packets
-    ]
-
-
-def _incident_tuples(log):
-    return [
-        (i.kind, i.summary, i.expected, i.observed, i.table_id, i.table_name)
-        for i in log.incidents
-    ]
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_packet_generation_identity(model, request):
-    """Cold entry-coverage generation: identical packets and uncovered
-    goals from both pipelines, on every shipped model."""
-    program = request.getfixturevalue(f"{model}_program")
-    p4info = request.getfixturevalue(f"{model}_p4info")
-    state = _decode_state(p4info, _entries_for(model, p4info))
-    outcomes = {}
-    for pipeline in PIPELINES:
-        generator = PacketGenerator(program, state, solver_pool=_pool(pipeline))
-        result = generator.generate(CoverageMode.ENTRY)
-        outcomes[pipeline] = (
-            _packet_tuples(result.packets),
-            list(result.uncovered),
-            result.stats.goals_covered,
-            result.stats.goals_unsatisfiable,
-        )
-    assert outcomes["optimized"] == outcomes["legacy"]
-
-
-def test_packet_generation_identity_across_states(tor_program, tor_p4info):
-    """Warm-pool reuse: after a state edit, the optimized pipeline's
-    incremental re-solve yields exactly the legacy pipeline's packets."""
-    base = production_like_entries(tor_p4info, 60, seed=3)
-    outcomes = {}
-    for pipeline in PIPELINES:
-        pool = _pool(pipeline)
-        states = [
-            _decode_state(tor_p4info, base),
-            _decode_state(tor_p4info, base[:-8]),  # drop a few entries
-        ]
-        runs = []
-        for state in states:
-            generator = PacketGenerator(tor_program, state, solver_pool=pool)
-            result = generator.generate(CoverageMode.ENTRY)
-            runs.append((_packet_tuples(result.packets), tuple(result.uncovered)))
-        outcomes[pipeline] = runs
-    assert outcomes["optimized"] == outcomes["legacy"]
+def test_packet_generation_identity_across_states():
+    """Warm-pool reuse: after a state edit, the incremental re-solve yields
+    the recorded packets for both states."""
+    C.assert_golden(C.warm_state_sequence(), GOLDEN["warm_state_sequence"]["tor"])
 
 
 @pytest.mark.parametrize("model", ["toy", "tor"])
-def test_data_plane_incident_identity(model, request):
-    """End-to-end harness runs disagree with a switch identically under
-    both pipelines (the harness pool is injected via ``solver_pool=``)."""
-    program = request.getfixturevalue(f"{model}_program")
-    p4info = request.getfixturevalue(f"{model}_p4info")
-    entries = _entries_for(model, p4info)
-    outcomes = {}
-    for pipeline in PIPELINES:
-        switch = ReferenceSwitch(program)
-        harness = SwitchVHarness(program, switch, solver_pool=_pool(pipeline))
-        report = harness.validate_data_plane(entries)
-        stats = report.data_plane
-        outcomes[pipeline] = (
-            _incident_tuples(report.incidents),
-            stats.goals_total,
-            stats.goals_covered,
-            stats.packets_tested,
-        )
-    assert outcomes["optimized"] == outcomes["legacy"]
+def test_data_plane_incident_identity(model):
+    """End-to-end harness runs (pool injected via ``solver_pool=``)."""
+    C.assert_golden(C.harness_incidents(model), GOLDEN["harness_incidents"][model])
 
 
-@pytest.mark.parametrize("fault", sorted(f.name for f in FAULT_CATALOG))
-def test_fuzzer_fingerprint_identity_across_fault_catalogue(
-    fault, tor_program, tor_p4info
-):
+@pytest.mark.parametrize("fault", C.FAULTS)
+def test_fuzzer_fingerprint_identity_across_fault_catalogue(fault):
     """Constraint-aware fuzz campaigns (the fuzzer path that actually
-    queries the SMT layer for table-key models) produce identical incident
-    fingerprints and adopted state for every catalogued fault."""
-    outcomes = {}
-    for pipeline in PIPELINES:
-        stack = PinsSwitchStack(tor_program, faults=FaultRegistry([fault]))
-        fuzzer = P4Fuzzer(
-            tor_p4info,
-            stack,
-            FuzzerConfig(
-                num_writes=4,
-                updates_per_write=8,
-                seed=47,
-                constraint_aware=True,
-            ),
-            solver_pool=_pool(pipeline),
-        )
-        result = fuzzer.run()
-        outcomes[pipeline] = (
-            _incident_tuples(result.incidents),
-            result.final_entries,
-        )
-    assert outcomes["optimized"] == outcomes["legacy"]
+    queries the SMT layer for table-key models): incident fingerprints and
+    adopted state for every catalogued fault."""
+    C.assert_golden(
+        C.constraint_aware_fuzz(fault), GOLDEN["constraint_aware_fuzz"][fault]
+    )

@@ -534,21 +534,20 @@ class TestModernKernel:
         s.add_clause([pos_lit(a), neg_lit(a)])  # tautology still counted
         assert s.clauses_received == 3
 
-    def test_legacy_kernel_agrees_on_guarded_pigeonhole(self):
-        from repro.smt.legacy_sat import LegacySatSolver
-
-        for cls in (SatSolver, LegacySatSolver):
-            s = cls()
-            g = s.new_var()
-            p = [[s.new_var() for _ in range(4)] for _ in range(5)]
+    def test_guarded_pigeonhole_5_into_4(self):
+        # Five pigeons into four holes is UNSAT by construction; the guard
+        # literal switches the whole instance on and off under assumptions.
+        s = SatSolver()
+        g = s.new_var()
+        p = [[s.new_var() for _ in range(4)] for _ in range(5)]
+        for i in range(5):
+            s.add_clause([neg_lit(g)] + [pos_lit(p[i][k]) for k in range(4)])
+        for k in range(4):
             for i in range(5):
-                s.add_clause([neg_lit(g)] + [pos_lit(p[i][k]) for k in range(4)])
-            for k in range(4):
-                for i in range(5):
-                    for j in range(i + 1, 5):
-                        s.add_clause([neg_lit(g), neg_lit(p[i][k]), neg_lit(p[j][k])])
-            assert not s.solve([pos_lit(g)])
-            assert s.solve([neg_lit(g)])
+                for j in range(i + 1, 5):
+                    s.add_clause([neg_lit(g), neg_lit(p[i][k]), neg_lit(p[j][k])])
+        assert not s.solve([pos_lit(g)])
+        assert s.solve([neg_lit(g)])
 
 
 class TestSolverPool:

@@ -12,8 +12,8 @@ from repro.bmv2.simulator import Bmv2Simulator
 from repro.p4rt import codec
 from repro.smt import Result, Solver
 from repro.smt import terms as T
-from repro.symbolic import PacketGenerator, SymbolicExecutor
-from repro.symbolic.cache import PacketCache, cache_key
+from repro.symbolic import GenerationResult, PacketGenerator, SymbolicExecutor
+from repro.symbolic.cache import CachedGoal, PacketCache, cache_key
 from repro.symbolic.coverage import CoverageMode, entry_goal, trace_goal
 from repro.symbolic.profiles import profiles_for_pattern
 from repro.workloads import EntryBuilder, baseline_entries
@@ -312,6 +312,40 @@ class TestCache:
         cache = PacketCache(directory=tmp_path)
         (tmp_path / "goals" / "deadbeef.pkl").write_bytes(b"garbage")
         assert cache.lookup_goal("deadbeef") is None
+
+    def test_failed_store_keeps_previous_entry(self, toy_program, toy_state, tmp_path):
+        """A value whose pickling raises midway (after a large prefix has
+        been serialized) must leave the previous entry at that key intact
+        and loadable, with no temporary file behind."""
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise RuntimeError("cannot pickle")
+
+        poison = [b"\x00" * 200_000, Unpicklable()]
+        key = cache_key(toy_program, toy_state, CoverageMode.ENTRY, (1,))
+        result = PacketGenerator(toy_program, toy_state).generate(CoverageMode.ENTRY)
+        cache = PacketCache(directory=tmp_path)
+        cache.store(key, result)
+        cache.store_goal("g", CachedGoal("entry:g", None))
+        with pytest.raises(RuntimeError):
+            cache.store(key, GenerationResult(poison, [], result.stats))
+        with pytest.raises(RuntimeError):
+            cache.store_goal("g", CachedGoal("entry:g", poison))
+
+        fresh = PacketCache(directory=tmp_path)  # a later run, cold memory
+        hit = fresh.lookup(key)
+        assert hit is not None
+        assert [p.goal for p in hit.packets] == [p.goal for p in result.packets]
+        assert fresh.lookup_goal("g") == CachedGoal("entry:g", None)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_clear_removes_stray_temp_files(self, tmp_path):
+        cache = PacketCache(directory=tmp_path)
+        (tmp_path / "abc.x1y2.tmp").write_bytes(b"torn")
+        (tmp_path / "goals" / "def.x1y2.tmp").write_bytes(b"torn")
+        cache.clear()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestPerGoalCache:
