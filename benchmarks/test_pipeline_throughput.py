@@ -1,16 +1,17 @@
 """Pipelined fuzzing-loop throughput benchmark.
 
-Compares the sequential validation loop against the windowed scheduler
-(`repro.fuzzer.pipeline`) at depths 2/4/8, on a clean transport and under
-the catalogue `delay` fault profile (10% of RPCs draw a bounded latency,
-the shape a real switch's management plane exhibits under load).
+Compares the campaign loop at depth 1 (one batch in flight, one read-back
+per batch) against the windowed scheduler (`repro.fuzzer.pipeline`) at
+depths 2/4/8, on a clean transport and under the catalogue `delay` fault
+profile (10% of RPCs draw a bounded latency, the shape a real switch's
+management plane exhibits under load).
 
-Throughput is *modeled* updates/second: CPU actually spent plus the
+Throughput is *modeled* updates/second
+(`FuzzResult.modeled_updates_per_second`): CPU actually spent plus the
 transport wait the schedule would pay against a real switch at the
-injected latencies — per-RPC sums for the sequential loop, per-window
-makespans for the pipelined one (see
-repro.switchv.metrics.PipelineThroughput).  Both terms are deterministic
-per seed, so the depth comparison needs no sleeping.
+injected latencies — per window, the slowest in-flight write plus the
+read-back (per-RPC sums at depth 1).  Both terms are deterministic per
+seed, so the depth comparison needs no sleeping.
 
 The ``smoke`` test is the CI job (seconds); ``REPRO_BENCH_SCALE=paper``
 doubles the campaign length.
@@ -26,7 +27,6 @@ from repro.p4.programs import build_tor_program
 from repro.p4rt.channel import FaultInjectingChannel, resolve_profile
 from repro.p4rt.retry import build_resilient_client
 from repro.switch import PinsSwitchStack
-from repro.switchv.metrics import collect_pipeline_throughput
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 # Many small waves: the regime where per-RPC latency dominates a
@@ -50,12 +50,11 @@ def _campaign(depth, profile, num_writes=NUM_WRITES, seed=21):
         seed=seed,
         pipeline_depth=depth,
     )
-    result = P4Fuzzer(_P4INFO, client, config).run()
-    return collect_pipeline_throughput(result)
+    return P4Fuzzer(_P4INFO, client, config).run()
 
 
 def test_pipeline_throughput_smoke():
-    """CI gate: depth 4 beats sequential >=1.5x under the delay profile."""
+    """CI gate: depth 4 beats depth 1 >=1.5x under the delay profile."""
     base = _campaign(1, "delay")
     deep = _campaign(4, "delay")
     speedup = deep.modeled_updates_per_second / base.modeled_updates_per_second
@@ -64,19 +63,19 @@ def test_pipeline_throughput_smoke():
         ["depth", "updates/s", "cpu", "transport wait", "speedup"],
         [
             [1, f"{base.modeled_updates_per_second:.0f}",
-             f"{base.wall_seconds:.2f}s", f"{base.transport_wait_seconds:.2f}s",
+             f"{base.elapsed_seconds:.2f}s", f"{base.transport_wait_seconds:.2f}s",
              "1.00x"],
             [4, f"{deep.modeled_updates_per_second:.0f}",
-             f"{deep.wall_seconds:.2f}s", f"{deep.transport_wait_seconds:.2f}s",
+             f"{deep.elapsed_seconds:.2f}s", f"{deep.transport_wait_seconds:.2f}s",
              f"{speedup:.2f}x"],
         ],
     )
-    assert deep.max_in_flight > 1
+    assert deep.pipeline.max_in_flight > 1
     assert speedup >= 1.5, f"depth-4 speedup {speedup:.2f}x under delay"
 
 
 def test_pipeline_throughput_table():
-    """The full table: sequential vs depth 2/4/8, clean vs delay."""
+    """The full table: depth 1 vs 2/4/8, clean vs delay."""
     rows = []
     speedups = {}
     for profile in (None, "delay"):
@@ -95,10 +94,10 @@ def test_pipeline_throughput_table():
                     label,
                     depth,
                     t.updates_sent,
-                    f"{t.wall_seconds:.2f}s",
+                    f"{t.elapsed_seconds:.2f}s",
                     f"{t.transport_wait_seconds:.2f}s",
-                    t.windows or "-",
-                    t.read_backs_coalesced or "-",
+                    t.pipeline.windows,
+                    t.pipeline.read_backs_coalesced or "-",
                     f"{t.modeled_updates_per_second:.0f}",
                     f"{speedup:.2f}x",
                 ]

@@ -24,7 +24,7 @@ is still reported (``CoverageProgress.score_seconds``) for humans.
 Pipelining stays sound because coverage accounting joins the deferred
 in-order judging stage (:meth:`P4Fuzzer._judge_window`), never the
 in-flight path: the tracker only ever sees the oracle's post-judging
-state, in submission order, exactly as the sequential loop would.
+state, in submission order, one judged batch at a time at every depth.
 """
 
 from __future__ import annotations

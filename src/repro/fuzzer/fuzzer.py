@@ -2,8 +2,12 @@
 
 Generates a stream of valid updates, mutates a fraction into interestingly
 invalid ones, packs everything into independent batches, sends the batches
-to the switch, and feeds responses plus state read-backs to the oracle.
-Statistics (update counts, throughput) back the Table 3 benchmark.
+to the switch in windows of up to ``pipeline_depth`` mutually independent
+batches (:mod:`repro.fuzzer.pipeline`), and feeds responses plus state
+read-backs to the oracle in submission order.  There is one campaign loop:
+at depth 1 a window is a single batch, sent on the calling thread and
+followed by its own read-back — write, read, judge, adopt.  Statistics
+(update counts, throughput) back the Table 3 benchmark.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.fuzzer.oracle import Oracle
 from repro.fuzzer.pipeline import BatchOutcome, PipelineStats, WriteScheduler
 from repro.p4.p4info import P4Info
 from repro.p4rt.channel import ChannelError
-from repro.p4rt.messages import ReadRequest, Update, WriteRequest
+from repro.p4rt.messages import ReadRequest, Update
 from repro.p4rt.service import P4RuntimeService
 from repro.switchv.report import Incident, IncidentKind, IncidentLog
 
@@ -43,21 +47,10 @@ class FuzzerConfig:
     # lowering frequency trades confidence for speed.
     read_back_every: int = 1
     # §4.2-sound pipelining (repro.fuzzer.pipeline): keep up to this many
-    # mutually independent batches in flight per window.  1 = the
-    # sequential loop; >1 overlaps transport waits and coalesces
-    # read-backs to one per window.
+    # mutually independent batches in flight per window.  1 = one batch
+    # at a time, each with its own read-back; >1 overlaps transport waits
+    # and next-wave generation, and coalesces read-backs to one per window.
     pipeline_depth: int = 1
-    # Overlap next-wave generation with the wave's last in-flight window.
-    # None = automatic (on at depth > 1).  Generation then sees the oracle
-    # state one window behind — sound (the window's batches are
-    # independent of anything generated against the pre-window state would
-    # conflict-check against), but the update stream differs from the
-    # sequential loop's; disable for strict stream-equivalence runs.
-    overlap_generation: Optional[bool] = None
-    # Testing knob: route depth<=1 campaigns through the windowed
-    # scheduler anyway, to assert the depth-1 pipeline reproduces the
-    # sequential loop byte for byte.
-    force_pipeline: bool = False
     # Accept a harness-provided SolverPool for the constraint-aware key
     # planner (warm per-table solvers across campaigns).  False forces
     # cold private solvers; generated request streams are identical either
@@ -123,11 +116,11 @@ class FuzzResult:
     final_entries: List = field(default_factory=list)
     modified_entries: List = field(default_factory=list)
     # Modeled transport wait the campaign experienced (injected delays,
-    # retry backoff) under its actual schedule: per-RPC sums for the
-    # sequential loop, per-window makespans for the pipelined one.
+    # retry backoff) under its window schedule: per window, the slowest
+    # in-flight write plus the window's read-back (per-RPC sums at depth 1).
     transport_wait_seconds: float = 0.0
-    # Windowed-scheduler counters when the pipelined loop ran.
-    pipeline: Optional[PipelineStats] = None
+    # What the windowed scheduler did (depth, windows, coalesced reads).
+    pipeline: PipelineStats = field(default_factory=PipelineStats)
     # Coverage-feedback series when the campaign tracked coverage
     # (coverage_guided or track_coverage).
     coverage: Optional[CoverageProgress] = None
@@ -234,17 +227,7 @@ class P4Fuzzer:
             result.elapsed_seconds = time.perf_counter() - start
             return result
 
-        if self.config.pipeline_depth > 1 or self.config.force_pipeline:
-            self._run_pipelined(result)
-        else:
-            for write_index in range(self.config.num_writes):
-                updates = self._generate_wave(result)
-                if not updates:
-                    continue
-                batches = make_batches(self.p4info, updates, self.config.updates_per_write)
-                for batch in batches:
-                    self._send_batch(batch, write_index, result)
-                result.writes_sent += len(batches)
+        self._run_windows(result)
         result.elapsed_seconds = time.perf_counter() - start
         if self.feedback is not None:
             result.coverage = self.feedback.progress()
@@ -310,106 +293,6 @@ class P4Fuzzer:
             updates.append(update)
         return updates
 
-    def _send_batch(self, batch: List[Update], write_index: int, result: FuzzResult) -> None:
-        request = WriteRequest(updates=tuple(batch))
-        try:
-            response = self.switch.write(request)
-        except ChannelError as exc:
-            # The transport gave up (retries exhausted): a flake, not a
-            # model incident.  The batch's outcome is unknown, so resync
-            # the oracle from a read-back instead of projecting.
-            result.transport_wait_seconds += self._last_write_wait()
-            result.transport.flakes += 1
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.TRANSPORT_FLAKE,
-                    summary=f"write abandoned by the transport: {type(exc).__name__}",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            if not self._resync_oracle(result):
-                # The abandoned write may have been applied and even the
-                # recovery read-back failed: the oracle's view is stale
-                # until a read-back lands.
-                self._needs_resync = True
-            return
-        except Exception as exc:  # a crash is itself a finding
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                    summary=f"switch raised {type(exc).__name__} during write",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return
-        result.transport_wait_seconds += self._last_write_wait()
-        result.updates_sent += len(batch)
-
-        for update, status in zip(batch, response.statuses, strict=False):
-            if status.ok and update.type.value == "MODIFY":
-                self._modified_keys.add(update.entry.match_key())
-
-        # An ambiguous outcome (some attempt of this write may or may not
-        # have been applied before the one that answered) makes per-update
-        # status judging unsound: a re-applied INSERT legitimately answers
-        # ALREADY_EXISTS, a re-applied DELETE answers NOT_FOUND.  A stale
-        # oracle (an earlier recovery read-back failed) is unsound the same
-        # way: the expected state the statuses would be judged against may
-        # not include an abandoned-but-applied batch.  Per the oracle's
-        # §4.3 design, read the state back and adopt it instead of
-        # reporting phantom incidents.
-        info = getattr(self.switch, "last_write_info", None)
-        if self._needs_resync or (info is not None and info.ambiguous):
-            result.transport.ambiguous_batches += 1
-            if self._resync_oracle(result):
-                result.transport.resyncs += 1
-                self._needs_resync = False
-            else:
-                self._needs_resync = True
-            self.generator.state.replace_all(self.oracle.installed_entries())
-            return
-
-        # Without a fresh read-back (None), the oracle judges statuses only
-        # and projects its expected state forward.
-        read_back = None
-        if self.config.read_back_every and write_index % self.config.read_back_every == 0:
-            try:
-                read_back = list(self.switch.read(ReadRequest(table_id=0)).entries)
-                result.transport_wait_seconds += self._last_read_wait()
-            except ChannelError as exc:
-                result.transport_wait_seconds += self._last_read_wait()
-                # A failed read-back downgrades this batch to status-only
-                # judging (read_back stays None): the write's statuses are
-                # real and the oracle must still project the batch forward,
-                # or its expected state silently drifts and the *next*
-                # read-back reports phantom incidents.
-                result.transport.flakes += 1
-                result.incidents.report(
-                    Incident(
-                        kind=IncidentKind.TRANSPORT_FLAKE,
-                        summary=f"read abandoned by the transport: {type(exc).__name__}",
-                        observed=str(exc),
-                        source="p4-fuzzer",
-                    )
-                )
-            except Exception as exc:
-                result.incidents.report(
-                    Incident(
-                        kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                        summary=f"switch raised {type(exc).__name__} during read",
-                        observed=str(exc),
-                        source="p4-fuzzer",
-                    )
-                )
-
-        log = self.oracle.judge_batch(batch, response, read_back)
-        result.incidents.extend(log)
-        # Keep the generator's view in sync with the oracle's adopted state.
-        self.generator.state.replace_all(self.oracle.installed_entries())
-        self._observe_coverage(batch, write_index)
-
     def _observe_coverage(self, batch: List[Update], write_index: int) -> None:
         """Score one judged batch against the model's coverage map."""
         if self.feedback is not None:
@@ -417,49 +300,9 @@ class P4Fuzzer:
                 batch, self.oracle.installed_entries(), write_index
             )
 
-    def _resync_oracle(self, result: FuzzResult) -> bool:
-        """Read the switch state back and adopt it (§4.3).  Returns False
-        when even the read-back failed; the next successful read-back will
-        repair the oracle's view."""
-        try:
-            read_back = list(self.switch.read(ReadRequest(table_id=0)).entries)
-            result.transport_wait_seconds += self._last_read_wait()
-        except ChannelError as exc:
-            result.transport_wait_seconds += self._last_read_wait()
-            result.transport.flakes += 1
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.TRANSPORT_FLAKE,
-                    summary=f"resync read abandoned by the transport: {type(exc).__name__}",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return False
-        except Exception as exc:
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                    summary=f"switch raised {type(exc).__name__} during resync read",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return False
-        self.oracle.resync(read_back)
-        self.generator.state.replace_all(self.oracle.installed_entries())
-        return True
-
     # ------------------------------------------------------------------
     # Transport-wait transparency
     # ------------------------------------------------------------------
-    def _last_write_wait(self) -> float:
-        """Modeled wait of the calling thread's last write RPC."""
-        info = getattr(self.switch, "last_write_info", None)
-        if info is not None:
-            return getattr(info, "wait_s", 0.0)
-        return getattr(self.switch, "last_rpc_wait_s", 0.0)
-
     def _last_read_wait(self) -> float:
         """Modeled wait of the calling thread's last read RPC."""
         wait = getattr(self.switch, "last_read_wait_s", None)
@@ -468,31 +311,21 @@ class P4Fuzzer:
         return getattr(self.switch, "last_rpc_wait_s", 0.0)
 
     # ------------------------------------------------------------------
-    # Pipelined campaign (§4.2-sound windowed scheduling)
+    # The campaign loop (§4.2-sound windowed scheduling)
     # ------------------------------------------------------------------
-    def _run_pipelined(self, result: FuzzResult) -> None:
-        """The windowed campaign loop.
+    def _run_windows(self, result: FuzzResult) -> None:
+        """Generate, window, send, judge — until ``num_writes`` waves.
 
         Judging-order invariant: outcomes are judged strictly in
-        submission order, and a window of size one performs exactly the
-        sequential loop's operations in exactly its order — write,
-        conditional read, judge, adopt.  Conflicting batches are never in
-        the same window, so at any window size the responses and
-        read-backs a window can observe are independent of in-flight
-        interleaving; pipelining changes *when* the oracle judges, never
+        submission order, and a window of one batch is the classic §4
+        step — write, conditional read, judge, adopt.  Conflicting batches
+        are never in the same window, so at any window size the responses
+        and read-backs a window can observe are independent of in-flight
+        interleaving; the depth changes *when* the oracle judges, never
         *what* it concludes.
         """
-        depth = max(1, self.config.pipeline_depth)
-        overlap = self.config.overlap_generation
-        if overlap is None:
-            overlap = depth > 1
-        # Deterministic roll streams matter on simulated transports; only
-        # a real-time stack (injected sleeper) trades them for wall-clock
-        # overlap.
-        strict = not getattr(self.switch, "real_time", False)
-        scheduler = WriteScheduler(
-            self.switch, self.p4info, depth, strict_order=strict
-        )
+        scheduler = WriteScheduler(self.switch, self.p4info, self.config.pipeline_depth)
+        depth = scheduler.depth
         result.pipeline = scheduler.stats
         # The batch stream, tagged with its wave index (the read gate's
         # clock).  Windows draw from the front across wave boundaries —
@@ -501,8 +334,9 @@ class P4Fuzzer:
         queue: List[tuple] = []
         next_wave = 0
         def refill() -> None:
-            # Generate waves until `depth` batches are queued.  Waves
-            # generated in one burst all see the state as of the last
+            # Generate waves until `depth` batches are queued.  At depth > 1
+            # the scheduler also runs this while a window is in flight, so
+            # waves generated in one burst all see the state as of the last
             # judged window — up to `depth` batches stale.  That changes
             # which updates get generated (e.g. a delete raced by a
             # queued delete), never how they are judged: the oracle
@@ -526,30 +360,10 @@ class P4Fuzzer:
                 refill()
                 if not queue:
                     break
-                # Fill the window from the queue with out-of-order pickup:
-                # a batch joins the window when it is independent of
-                # everything already in flight AND of every earlier queued
-                # batch it would overtake (conflicting batches are never
-                # reordered relative to each other, so dependent writes
-                # still observe their predecessors' effects).  Skipped
-                # batches keep their queue position for a later window.
-                window = [queue.pop(0)]
-                in_flight = [batch for _, batch in window]
-                skipped: List[List[Update]] = []
-                index = 0
-                while len(window) < depth and index < len(queue):
-                    candidate = queue[index][1]
-                    if scheduler.conflicts(
-                        in_flight, candidate
-                    ) or scheduler.conflicts(skipped, candidate):
-                        scheduler.stats.conflict_stalls += 1
-                        skipped.append(candidate)
-                        index += 1
-                        continue
-                    window.append(queue.pop(index))
-                    in_flight.append(candidate)
-                hook = refill if overlap else None
-                outcomes = scheduler.send_window(in_flight, while_in_flight=hook)
+                window = scheduler.take_window(queue)
+                outcomes = scheduler.send_window(
+                    [batch for _, batch in window], while_in_flight=refill
+                )
                 self._judge_window(
                     outcomes, max(wave for wave, _ in window), result, scheduler
                 )
@@ -566,12 +380,15 @@ class P4Fuzzer:
     ) -> None:
         """Drain one window's outcomes in submission order.
 
-        Mirrors _send_batch decision for decision; at window size one the
-        incident stream, counters, and oracle operations are identical to
-        the sequential loop's.
+        A write that raised is a finding (a transport flake or an
+        unresponsive switch) and its outcome is unknown; an ambiguous
+        write, or any write while the oracle is stale, cannot be judged
+        per status.  Either way the window adopts a read-back instead of
+        projecting.  Otherwise the statuses are judged, and the window's
+        read-back (when the read gate is open) checks the state.
         """
         pending: List[BatchOutcome] = []
-        reached = 0  # batches whose write answered (sequential would read back each)
+        reached = 0  # batches whose write answered (one read-back each at depth 1)
         resync_flake = False  # a write flaked: adopt a read-back, uncounted
         resync_counted = False  # ambiguous/stale: adopt and count a resync
         mismatch = False  # response cardinality mismatch in the window
@@ -579,6 +396,8 @@ class P4Fuzzer:
             error = outcome.error
             if error is not None:
                 if isinstance(error, ChannelError):
+                    # Retries exhausted: a flake, not a model incident.  The
+                    # batch may or may not have been applied.
                     result.transport.flakes += 1
                     result.incidents.report(
                         Incident(
@@ -605,6 +424,12 @@ class P4Fuzzer:
             for update, status in zip(batch, response.statuses, strict=False):
                 if status.ok and update.type.value == "MODIFY":
                     self._modified_keys.add(update.entry.match_key())
+            # An ambiguous outcome (some attempt of this write may or may not
+            # have been applied before the one that answered) makes
+            # per-update status judging unsound: a re-applied INSERT
+            # legitimately answers ALREADY_EXISTS, a re-applied DELETE
+            # NOT_FOUND.  A stale oracle is unsound the same way.  Per the
+            # oracle's §4.3 design, adopt a read-back instead.
             info = outcome.info
             if self._needs_resync or (info is not None and info.ambiguous):
                 result.transport.ambiguous_batches += 1
@@ -625,15 +450,13 @@ class P4Fuzzer:
                 result, scheduler, reached, resync=need_resync
             )
 
-        # Judge in submission order.  The coalesced read-back stands in
-        # for the per-batch read the sequential loop would have taken
-        # after the *last* batch; earlier batches are judged status-only
-        # (their entries are untouched by their independent siblings, so
-        # the final read still checks them).  When the window needs an
-        # adoption instead — a flaked or ambiguous sibling, or a
+        # Judge in submission order.  The coalesced read-back is attached
+        # to the window's *last* batch; earlier batches are judged
+        # status-only (their entries are untouched by their independent
+        # siblings, so the final read still checks them).  When the window
+        # needs an adoption instead — a flaked or ambiguous batch, or a
         # cardinality mismatch — every batch is judged status-only and
-        # the read-back is adopted afterwards, exactly the sequential
-        # recovery.
+        # the read-back is adopted afterwards (§4.3 recovery).
         attach_rb = read_back is not None and not need_resync and not mismatch
         for position, outcome in enumerate(pending):
             rb = read_back if attach_rb and position == len(pending) - 1 else None
@@ -641,8 +464,8 @@ class P4Fuzzer:
             result.incidents.extend(log)
             # Coverage accounting rides the deferred in-order judging
             # stage — never the in-flight path — so the tracker sees the
-            # oracle's post-judging states in submission order, exactly as
-            # the sequential loop's per-batch observation would.
+            # oracle's post-judging states in submission order, one batch
+            # at a time at every depth.
             self._observe_coverage(outcome.batch, write_index)
         if read_back is not None and (need_resync or mismatch):
             self.oracle.resync(read_back)

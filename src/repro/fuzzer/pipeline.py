@@ -1,33 +1,31 @@
-"""Windowed write pipelining for the fuzzing loop (§4.2-sound).
+"""Windowed write scheduling for the fuzzing loop (§4.2-sound).
 
-The sequential campaign loop sends one batch, reads the state back,
-judges, and only then sends the next batch — paying the transport's full
-round-trip latency (injected delays, retries, backoff) once per batch.
-The batching discipline already guarantees more than that loop exploits:
-batches built by :func:`repro.fuzzer.batching.make_batches` are
+The campaign loop sends batches, reads the state back, and lets the oracle
+judge.  Batches built by :func:`repro.fuzzer.batching.make_batches` are
 order-independent *internally*, and any two batches with no ``@refers_to``
 dependency edges (and no shared entry identity) between them commute, so
 they may be in flight concurrently without changing what any response or
-read-back can say.
+read-back can say.  :class:`WriteScheduler` turns that guarantee into
+throughput, at a depth of ``depth`` batches:
 
-:class:`WriteScheduler` turns that guarantee into throughput:
-
-* **Windows.**  Consecutive batches are grouped into windows of up to
-  ``depth`` batches.  A batch that conflicts with any batch already in the
-  window (same ``_conflicts`` predicate the batcher uses) closes the
-  window early — dependent writes are never concurrently in flight.
-* **In-flight writes.**  Every batch of a window is submitted to a small
-  thread pool; the caller can overlap next-wave generation with the
-  drain.  Under the default *strict order* mode a turnstile admits the
-  writes into the transport one at a time in submission order, so the
+* **Windows.**  :meth:`WriteScheduler.take_window` fills a window from the
+  front of the batch queue.  A later batch joins when it conflicts (same
+  ``_conflicts`` predicate the batcher uses) with nothing in the window
+  and with no earlier queued batch it would overtake, so dependent writes
+  are never concurrently in flight and never reordered.
+* **In-flight writes.**  At depth > 1 the window's batches are submitted to
+  a small thread pool and the caller overlaps next-wave generation with
+  the drain.  Unless the switch is a real-time stack, a turnstile admits
+  the writes into the transport one at a time in submission order, so the
   fault channel's seeded roll stream stays a pure function of the RPC
-  order — pipelined campaigns are exactly as reproducible as sequential
-  ones.  (Real overlap still happens in wall-clock mode: channels sleep
-  their injected latency *outside* their roll lock.)
-* **Coalesced read-backs.**  One state read serves the whole window where
-  the sequential loop reads after every batch; the saved reads are the
-  dominant win on a slow transport *and* on CPU (read-back judging is
-  O(state)).
+  order and every depth is exactly as reproducible as depth 1.  (Real
+  overlap still happens in wall-clock mode: channels sleep their injected
+  latency *outside* their roll lock.)  At depth 1 there is nothing to
+  overlap: the window's one batch is sent on the calling thread and no
+  pool exists.
+* **Coalesced read-backs.**  One state read serves the whole window; the
+  saved reads are the dominant win on a slow transport *and* on CPU
+  (read-back judging is O(state)).
 * **Makespan accounting.**  Each batch reports its modeled transport wait
   (channel delays + retry backoff).  A window's pipelined cost is the
   *maximum* over its in-flight writes — what a truly concurrent transport
@@ -37,23 +35,24 @@ read-back can say.
 
 The judging-order invariant lives in the fuzzer's window-drain code
 (:meth:`repro.fuzzer.fuzzer.P4Fuzzer._judge_window`): outcomes are judged
-in submission order, read-backs are adopted exactly where the sequential
-loop would adopt them, and a window of size one reproduces the sequential
-loop's operation order byte for byte.
+in submission order, and a window of one batch is the classic §4 step —
+write, conditional read, judge, adopt.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.fuzzer.batching import _conflicts
 from repro.p4.constraints.refs import ReferenceGraph
 from repro.p4.p4info import P4Info
 from repro.p4rt.messages import Update, WriteRequest, WriteResponse
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -65,17 +64,17 @@ class PipelineStats:
     batches: int = 0
     # Largest number of batches concurrently in flight.
     max_in_flight: int = 0
-    # Windows closed before reaching `depth` because the next batch
-    # conflicted (shared entry identity or @refers_to edge) with one
-    # already in flight.
+    # Queued batches a window passed over because they conflicted (shared
+    # entry identity or @refers_to edge) with a batch in the window or
+    # with an earlier queued batch they would have overtaken.
     conflict_stalls: int = 0
     # State reads actually performed, and how many per-batch reads the
-    # window coalescing saved relative to the sequential discipline.
+    # window coalescing saved relative to one read per batch.
     read_backs: int = 0
     read_backs_coalesced: int = 0
-    # Transport waits: serial = sum of per-RPC waits (what the sequential
-    # loop would have paid), pipelined = per-window max over in-flight
-    # writes plus the coalesced read (what the overlapped schedule pays).
+    # Transport waits: serial = sum of per-RPC waits (what one batch at a
+    # time would pay), pipelined = per-window max over in-flight writes
+    # plus the coalesced read (what the windowed schedule pays).
     serial_wait_s: float = 0.0
     pipelined_wait_s: float = 0.0
     # Wall-clock generation time spent while a window was in flight.
@@ -121,32 +120,28 @@ class _Turnstile:
 class WriteScheduler:
     """Keeps up to ``depth`` independent batches in flight over a switch.
 
-    ``strict_order=True`` (the default for simulated transports) serializes
-    the actual transport calls in submission order through a turnstile:
-    the fault channel consumes its seeded rolls in exactly the order the
-    sequential loop would, so verdicts are reproducible run to run and
-    comparable across depths.  Pass ``strict_order=False`` only for
-    real-time transports (injected sleepers), where wall-clock overlap
-    matters more than roll-stream stability — wrap bare stacks in
-    :class:`repro.p4rt.service.SerializedP4RuntimeService` first.
+    On simulated transports the actual transport calls are serialized in
+    submission order through a turnstile: the fault channel consumes its
+    seeded rolls in the same order at every depth, so verdicts are
+    reproducible run to run and comparable across depths.  A real-time
+    transport (``switch.real_time``, an injected sleeper) skips the
+    turnstile, trading roll-stream stability for wall-clock overlap —
+    wrap bare stacks in :class:`repro.p4rt.service.SerializedP4RuntimeService`
+    first.
     """
 
-    def __init__(
-        self,
-        switch,
-        p4info: P4Info,
-        depth: int = 1,
-        strict_order: bool = True,
-    ) -> None:
+    def __init__(self, switch, p4info: P4Info, depth: int = 1) -> None:
         self.switch = switch
         self.depth = max(1, depth)
         self.stats = PipelineStats(depth=self.depth)
         self._refs = ReferenceGraph(p4info)
-        self._strict = strict_order
+        self._strict = not getattr(switch, "real_time", False)
         self._turnstile = _Turnstile()
         self._next_ticket = 0
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.depth, thread_name_prefix="p4rt-pipeline"
+        self._pool = (
+            ThreadPoolExecutor(max_workers=self.depth, thread_name_prefix="p4rt-pipeline")
+            if self.depth > 1
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -166,29 +161,30 @@ class WriteScheduler:
             for b in batch
         )
 
-    def plan_windows(self, batches: Sequence[List[Update]]) -> List[List[List[Update]]]:
-        """Split a wave's batches into in-flight windows.
+    def take_window(self, queue: List[Tuple[T, List[Update]]]) -> List[Tuple[T, List[Update]]]:
+        """Pop the next window's ``(tag, batch)`` items off ``queue``.
 
-        Batches keep their order; a window closes when it is full or when
-        the next batch conflicts with one already in it (make_batches
-        placed the dependent batch later precisely so it executes after —
-        the window boundary preserves that ordering on the wire).
+        The head always flies.  A later batch joins (out of order) when it
+        is independent of everything already in the window AND of every
+        earlier queued batch it would overtake: conflicting batches are
+        never reordered relative to each other, so dependent writes still
+        observe their predecessors' effects.  Skipped batches keep their
+        queue position for a later window.  Tags ride along untouched.
         """
-        windows: List[List[List[Update]]] = []
-        current: List[List[Update]] = []
-        for batch in batches:
-            if current:
-                full = len(current) >= self.depth
-                conflict = not full and self.conflicts(current, batch)
-                if full or conflict:
-                    if conflict:
-                        self.stats.conflict_stalls += 1
-                    windows.append(current)
-                    current = []
-            current.append(batch)
-        if current:
-            windows.append(current)
-        return windows
+        window = [queue.pop(0)]
+        in_flight = [window[0][1]]
+        skipped: List[List[Update]] = []
+        index = 0
+        while len(window) < self.depth and index < len(queue):
+            candidate = queue[index][1]
+            if self.conflicts(in_flight, candidate) or self.conflicts(skipped, candidate):
+                self.stats.conflict_stalls += 1
+                skipped.append(candidate)
+                index += 1
+                continue
+            window.append(queue.pop(index))
+            in_flight.append(candidate)
+        return window
 
     # ------------------------------------------------------------------
     # Sending
@@ -229,14 +225,18 @@ class WriteScheduler:
 
         ``while_in_flight`` runs on the calling thread after dispatch and
         before the drain — the hook the fuzzer uses to overlap next-wave
-        generation with the in-flight writes.
+        generation with the in-flight writes.  It runs only when writes
+        really are in flight (depth > 1); at depth 1 the window has
+        already been sent on the calling thread, and the caller generates
+        after judging.
         """
+        submit = self._pool.submit if self._pool is not None else _run_now
         futures = []
         for batch in window:
             ticket = self._next_ticket
             self._next_ticket += 1
-            futures.append(self._pool.submit(self._send_one, batch, ticket))
-        if while_in_flight is not None:
+            futures.append(submit(self._send_one, batch, ticket))
+        if while_in_flight is not None and self._pool is not None:
             overlap_start = time.perf_counter()
             while_in_flight()
             self.stats.overlapped_generation_s += time.perf_counter() - overlap_start
@@ -257,13 +257,21 @@ class WriteScheduler:
         self.stats.pipelined_wait_s += wait_s
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "WriteScheduler":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+def _run_now(fn, *args) -> Future:
+    """Call ``fn`` on the calling thread; its result as a done future."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def _is_channel_error(exc: Exception) -> bool:

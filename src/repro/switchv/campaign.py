@@ -65,7 +65,7 @@ class CampaignConfig:
     # Soak mode: how many fuzz cycles run_soak_campaign executes.
     soak_cycles: int = 3
     # Fuzzing-loop pipelining: keep up to this many independent batches in
-    # flight per window (repro.fuzzer.pipeline).  1 = sequential loop.
+    # flight per window (repro.fuzzer.pipeline).  1 = one batch at a time.
     pipeline_depth: int = 1
     # Fail-fast gate: lint the model before the campaign starts; a model
     # with error-severity diagnostics yields MODEL_ERROR incidents and no

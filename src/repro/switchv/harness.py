@@ -147,7 +147,7 @@ class SwitchVHarness:
         # Goal-solving parallelism for packet generation (1 = sequential).
         self.workers = max(1, workers)
         # Fuzz campaigns keep up to this many independent batches in
-        # flight (repro.fuzzer.pipeline); 1 = the sequential loop.
+        # flight (repro.fuzzer.pipeline); 1 = one batch at a time.
         self.pipeline_depth = max(1, pipeline_depth)
         # Greybox feedback for fuzz campaigns (repro.fuzzer.feedback):
         # coverage-score every judged batch against the model and bias

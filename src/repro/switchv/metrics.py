@@ -164,61 +164,6 @@ def render_metrics(metrics: Sequence[FeatureMetrics]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Pipelined-campaign throughput metrics
-# ----------------------------------------------------------------------
-@dataclass
-class PipelineThroughput:
-    """One fuzz campaign's throughput under its write schedule.
-
-    Modeled updates/second charges both the CPU the campaign spent and the
-    transport wait its schedule would pay against a real switch at the
-    injected latencies: per-RPC sums for the sequential loop, per-window
-    makespans for the pipelined one.  That makes depth comparisons
-    deterministic — no sleeping needed to show the overlap win.
-    """
-
-    depth: int = 1
-    updates_sent: int = 0
-    wall_seconds: float = 0.0
-    transport_wait_seconds: float = 0.0
-    max_in_flight: int = 1
-    windows: int = 0
-    conflict_stalls: int = 0
-    read_backs: int = 0
-    read_backs_coalesced: int = 0
-    overlap_saved_s: float = 0.0
-
-    @property
-    def modeled_seconds(self) -> float:
-        return self.wall_seconds + self.transport_wait_seconds
-
-    @property
-    def modeled_updates_per_second(self) -> float:
-        if self.modeled_seconds == 0:
-            return 0.0
-        return self.updates_sent / self.modeled_seconds
-
-
-def collect_pipeline_throughput(result) -> PipelineThroughput:
-    """Fold a FuzzResult (sequential or pipelined) into throughput metrics."""
-    metrics = PipelineThroughput(
-        updates_sent=result.updates_sent,
-        wall_seconds=result.elapsed_seconds,
-        transport_wait_seconds=result.transport_wait_seconds,
-    )
-    stats = result.pipeline
-    if stats is not None:
-        metrics.depth = stats.depth
-        metrics.max_in_flight = stats.max_in_flight
-        metrics.windows = stats.windows
-        metrics.conflict_stalls = stats.conflict_stalls
-        metrics.read_backs = stats.read_backs
-        metrics.read_backs_coalesced = stats.read_backs_coalesced
-        metrics.overlap_saved_s = stats.overlap_saved_s
-    return metrics
-
-
-# ----------------------------------------------------------------------
 # Generation-effort (clause economy) metrics
 # ----------------------------------------------------------------------
 def collect_generation_effort(report) -> Dict[str, float]:

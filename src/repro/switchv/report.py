@@ -200,7 +200,7 @@ def render_transport_stats(transport) -> str:
 
 
 def render_pipeline_stats(result) -> str:
-    """Human-facing pipelined-campaign summary.
+    """Human-facing fuzz-campaign schedule summary.
 
     Takes a :class:`repro.fuzzer.fuzzer.FuzzResult` (duck-typed to avoid a
     circular import) and renders the windowed scheduler's work: in-flight
@@ -214,9 +214,6 @@ def render_pipeline_stats(result) -> str:
         f" + {result.transport_wait_seconds:.2f}s transport wait)",
     ]
     stats = result.pipeline
-    if stats is None:
-        lines.append("    schedule:     sequential (one batch in flight)")
-        return "\n".join(lines)
     lines.append(
         f"    in flight:    depth {stats.depth},"
         f" peak {stats.max_in_flight},"

